@@ -13,17 +13,22 @@ Usage: python3 demos/message_flow_walkthrough.py
 """
 
 import asyncio
+import itertools
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
 from coopt.analysis import SINGLE, Archive, analysis_loop
 from coopt.core import Problem, freeze_point, uniform_box
-from coopt.evaluator import EvaluatorStats, SeqCounter, evaluator_loop
-from coopt.messaging import (Mailbox, MailboxClosed, Message, MessageKind,
-                             reply_mailbox)
+from coopt.evaluator import EvaluatorStats, evaluator_loop
+from coopt.messaging import Mailbox, MailboxClosed, Message, MessageKind
 from coopt.scheduler import (Budget, EvaluationRequest, PriorityQueues,
                              SchedulerState, scheduler_loop)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles import level_of  # noqa: E402  (test helper: peeks at a queue)
 
 N_EVALUATORS = 2
 MESSAGE_BUDGET = 400
@@ -86,7 +91,7 @@ def priority_promotion():
         if served is patient:
             break
         print(f"  dispatch {pops:2d}: served {served.solver_id:6s}  "
-              f"(patient promoted to level {queues.level_of(patient)})")
+              f"(patient promoted to level {level_of(queues, patient)})")
     print(f"  dispatch {pops:2d}: served patient -- after 9 promotions it "
           "outranks fresh level-10 arrivals")
 
@@ -116,11 +121,11 @@ async def shrinking_search(solver_id, scheduler_inbox, share_mb, seed):
                 message = share_mb.take_nowait()
             trial = PROBLEM.domain.clip(
                 centre + rng.normal(0.0, radius, 3))
-            reply = reply_mailbox(solver_id)
+            reply = asyncio.get_running_loop().create_future()
             await scheduler_inbox.put(Message(
                 MessageKind.EVALUATEPOINT, solver_id,
                 EvaluationRequest(freeze_point(trial), reply, solver_id)))
-            evaluation = (await reply.take()).content
+            evaluation = await reply  # MailboxClosed if refused at shutdown
             if best is None or evaluation.objectives < best.objectives:
                 best, centre = evaluation, trial
                 radius = max(radius * 0.7, 1e-3)
@@ -144,7 +149,7 @@ async def wired_run(sharing):
                            budget=Budget.messages(MESSAGE_BUDGET),
                            sharing=sharing,
                            events=events.append)
-    seq = SeqCounter()
+    seq = itertools.count(1)
     stats = {eid: EvaluatorStats(eid) for eid in evaluator_mbs}
     tasks = [asyncio.ensure_future(t) for t in (
         [analysis_loop(analysis_inbox, scheduler_inbox, Archive(SINGLE))]

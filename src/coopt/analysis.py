@@ -36,6 +36,11 @@ class Archive:
         if self.mode not in (SINGLE, MULTI):
             raise ValueError(f"unknown archive mode {self.mode!r}")
 
+    def __repr__(self) -> str:
+        # Short on purpose: asyncio.run reprs the main task's result on exit.
+        return (f"<Archive {self.mode}: {len(self.members())} members, "
+                f"{len(self.history)} improvements>")
+
     def members(self) -> list[Evaluation]:
         if self.mode == SINGLE:
             return [self.best] if self.best is not None else []
@@ -52,7 +57,8 @@ def update_archive(archive: Archive, evaluation: Evaluation) -> bool:
 
     Multi-objective insertions evict every member the newcomer dominates.
     A newcomer with objectives identical to a surviving member is not an
-    improvement (first arrival kept), so snapshots stay deterministic.
+    improvement (first arrival kept), so a snapshot depends only on the
+    arrival order.
     """
     if archive.mode == SINGLE:
         if archive.best is not None and not better(evaluation, archive.best):
@@ -98,7 +104,7 @@ async def analysis_loop(inbox: Mailbox, scheduler_inbox: Mailbox,
                     notify = False
         elif message.kind is MessageKind.RETRIEVEBEST:
             reply = message.content
-            reply.put_nowait(Message(
-                MessageKind.STATISTICSBEST, "analysis", archive.snapshot()))
+            if not reply.done():  # a cancelled scheduler no longer listens
+                reply.set_result(archive.snapshot())
         else:
             raise RuntimeError(f"analysis cannot handle {message.kind}")

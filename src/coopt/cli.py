@@ -19,7 +19,7 @@ from pathlib import Path
 from coopt.analysis import MULTI, Archive
 from coopt.core import Evaluation
 from coopt.harness import (
-    PRESET_SUMMARIES,
+    PRESETS,
     ConfigError,
     RunReport,
     load_config,
@@ -68,8 +68,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_presets(_args) -> int:
-    for name in sorted(PRESET_SUMMARIES):
-        print(f"{name}: {PRESET_SUMMARIES[name]}")
+    for name, preset in sorted(PRESETS.items()):
+        print(f"{name}: {preset.summary}")
     return 0
 
 

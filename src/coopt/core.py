@@ -10,7 +10,7 @@ only on the comparison rules defined here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
@@ -22,10 +22,6 @@ INFEASIBLE_SENTINEL = math.inf
 class VarKind(Enum):
     REAL = "real"
     INTEGER = "integer"
-
-
-class EvaluationFailure(ValueError):
-    """Raised when a model produces output that cannot be used."""
 
 
 @dataclass(frozen=True)
@@ -146,18 +142,14 @@ class Evaluation:
     def failed(self) -> bool:
         return self.constraint == INFEASIBLE_SENTINEL
 
-    def key(self) -> tuple:
-        """Hashable identity on objective space used for set comparisons."""
-        return (self.objectives, self.constraint)
-
 
 @dataclass(frozen=True)
 class Problem:
     """A named black-box model over a bounded domain.
 
     ``model(point, parameters)`` returns ``(objectives, constraint)`` where
-    objectives is a scalar or sequence of length ``n_obj``.  Models must be
-    deterministic unless ``stochastic`` is set.
+    objectives is a scalar or sequence of length ``n_obj``.  The same point
+    must always give the same result.
     """
 
     name: str
@@ -167,8 +159,6 @@ class Problem:
     parameters: object = None
     known_optimum: Optional[float] = None
     front_parametrization: Optional[Callable[[float], tuple[float, ...]]] = None
-    stochastic: bool = False
-    attrs: dict = field(default_factory=dict)
 
 
 def evaluate_model(problem: Problem, point: np.ndarray,

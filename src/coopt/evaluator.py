@@ -2,29 +2,17 @@
 
 Each evaluator loops: announce availability to the scheduler, wait for a
 point, evaluate the model, send the result both to the asking solver's
-reply channel and to the analysis agent.  A closed mailbox at any blocking
+reply future and to the analysis agent.  A closed mailbox at any blocking
 step means the run is over and the agent exits quietly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from coopt.core import Problem, evaluate_model
 from coopt.messaging import Mailbox, MailboxClosed, Message, MessageKind
-
-
-class SeqCounter:
-    """Monotone global evaluation index, assigned at completion time."""
-
-    __slots__ = ("value",)
-
-    def __init__(self):
-        self.value = 0
-
-    def next(self) -> int:
-        self.value += 1
-        return self.value
 
 
 @dataclass
@@ -50,9 +38,13 @@ class EvaluatorStats:
 
 async def evaluator_loop(evaluator_id: str, problem: Problem,
                          scheduler_inbox: Mailbox, analysis_inbox: Mailbox,
-                         own_mailbox: Mailbox, seq: SeqCounter,
+                         own_mailbox: Mailbox, seq: Iterator[int],
                          stats: EvaluatorStats | None = None) -> EvaluatorStats:
-    """Serve evaluation requests until any channel closes."""
+    """Serve evaluation requests until any channel closes.
+
+    ``seq`` is shared by all evaluators of a run and numbers evaluations
+    globally in completion order.
+    """
     stats = stats or EvaluatorStats(evaluator_id)
     while True:
         try:
@@ -65,14 +57,11 @@ async def evaluator_loop(evaluator_id: str, problem: Problem,
         request = message.content
         evaluation = evaluate_model(problem, request.point,
                                     solver_id=request.solver_id,
-                                    seq=seq.next())
+                                    seq=next(seq))
         stats.evaluations += 1
-        try:
-            request.reply.put_nowait(
-                Message(MessageKind.OBJECTIVEVALUE, evaluator_id, evaluation))
+        if not request.reply.done():  # a cancelled solver no longer listens
+            request.reply.set_result(evaluation)
             stats.replies_delivered += 1
-        except MailboxClosed:
-            pass
         try:
             await analysis_inbox.put(
                 Message(MessageKind.ANALYSESOLUTION, evaluator_id, evaluation))

@@ -26,25 +26,25 @@ solver instance; ``#`` starts a comment (whole line or trailing)::
 Recognized top-level keys: ``problem``, ``preset``, ``budget`` (written as
 ``messages:60000`` or ``evaluations:1000``), ``np`` (shared initial
 population size), ``n_evaluators``, ``sharing``, ``seed``, ``repetitions``,
-``output_dir``, ``deterministic``.
+``output_dir``.  Any other key is rejected with its line cited.
 """
 
 from __future__ import annotations
 
 import asyncio
 import csv
+import itertools
 import json
 import time
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from coopt.analysis import MULTI, SINGLE, Archive, analysis_loop
 from coopt.core import Problem
-from coopt.evaluator import EvaluatorStats, SeqCounter, evaluator_loop
+from coopt.evaluator import EvaluatorStats, evaluator_loop
 from coopt.messaging import Mailbox
 from coopt.metrics import (
     area_trapezoid,
@@ -61,7 +61,7 @@ MODES = (("independent", False), ("cooperating", True))
 
 _TOP_KEYS = frozenset({
     "problem", "preset", "budget", "np", "n_evaluators", "sharing",
-    "seed", "repetitions", "output_dir", "deterministic",
+    "seed", "repetitions", "output_dir",
 })
 _SOLVER_KEYS = frozenset({"kind", "size", "omega", "priority", "label"})
 
@@ -83,7 +83,6 @@ class RunConfig:
     seed: int = 0
     repetitions: int = 10
     output_dir: str = "runs"
-    deterministic: bool = False
 
     def __post_init__(self):
         if not self.solvers:
@@ -96,9 +95,6 @@ class RunConfig:
             raise ValueError("seed must be >= 0")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        if self.deterministic and self.n_evaluators != 1:
-            raise ValueError(
-                "deterministic runs require n_evaluators = 1")
         labels = [sc.label for sc in self.solvers]
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate solver labels: {sorted(labels)}")
@@ -130,17 +126,6 @@ class RunReport:
 
 # ------------------------------------------------------------------ presets
 
-PRESET_SUMMARIES = {
-    "hen-protocol": (
-        "message-budget protocol: 60000 scheduler messages, np = problem "
-        "dimensions, roster GA(np), GA(5np), PPA(np/2), PPA(2np), SD, CS"),
-    "mutas-protocol": (
-        "evaluation-budget protocol: 1000 evaluations, np = 20, roster "
-        "GA(2np), GA(5np), PPA(np/2), PPA(2np), PSO(np), PSO(5np), plus SD "
-        "and CS at scalarizing weights 0.2/0.4/0.6/0.8"),
-}
-
-
 def _hen_roster(ps: int) -> tuple[SolverConfig, ...]:
     return (
         SolverConfig("GA", ps, instance_label="ga-small"),
@@ -170,24 +155,50 @@ def _mutas_roster(ps: int) -> tuple[SolverConfig, ...]:
     )
 
 
-def preset_config(preset: str, problem: str, *,
-                  population_size: Optional[int] = None,
-                  **overrides) -> RunConfig:
-    """Build a RunConfig for a named preset; keyword overrides pass through."""
+class Preset(NamedTuple):
+    """A named experiment protocol: budget, shared population, roster."""
+
+    summary: str
+    budget: Budget
+    default_np: Optional[int]  # None: one per problem dimension
+    roster: Callable[[int], tuple[SolverConfig, ...]]
+
+    def population_size(self, problem: Problem) -> int:
+        return self.default_np or problem.domain.size
+
+
+PRESETS = {
+    "hen-protocol": Preset(
+        "message-budget protocol: 60000 scheduler messages, np = problem "
+        "dimensions, roster GA(np), GA(5np), PPA(np/2), PPA(2np), SD, CS",
+        Budget.messages(60_000), None, _hen_roster),
+    "mutas-protocol": Preset(
+        "evaluation-budget protocol: 1000 evaluations, np = 20, roster "
+        "GA(2np), GA(5np), PPA(np/2), PPA(2np), PSO(np), PSO(5np), plus SD "
+        "and CS at scalarizing weights 0.2/0.4/0.6/0.8",
+        Budget.evaluations(1_000), 20, _mutas_roster),
+}
+
+
+def _unknown_preset(preset: str) -> str:
+    return (f"unknown preset {preset!r}; available: "
+            + ", ".join(sorted(PRESETS)))
+
+
+def preset_config(preset: str, problem: str, **overrides) -> RunConfig:
+    """Build a RunConfig for a named preset.
+
+    Keyword overrides name RunConfig fields and replace the preset's values;
+    an overridden ``population_size`` also sizes the preset's roster.
+    """
     problem_obj = registry_get(problem)
-    if preset == "hen-protocol":
-        ps = population_size or problem_obj.domain.size
-        budget = Budget.messages(60_000)
-        roster = _hen_roster(ps)
-    elif preset == "mutas-protocol":
-        ps = population_size or 20
-        budget = Budget.evaluations(1_000)
-        roster = _mutas_roster(ps)
-    else:
-        raise ValueError(f"unknown preset {preset!r}; available: "
-                         + ", ".join(sorted(PRESET_SUMMARIES)))
-    return RunConfig(problem=problem, budget=budget, solvers=roster,
-                     population_size=ps, **overrides)
+    if preset not in PRESETS:
+        raise ValueError(_unknown_preset(preset))
+    spec = PRESETS[preset]
+    ps = overrides.pop("population_size", None) \
+        or spec.population_size(problem_obj)
+    fields = {"budget": spec.budget, "solvers": spec.roster(ps), **overrides}
+    return RunConfig(problem=problem, population_size=ps, **fields)
 
 
 # ------------------------------------------------------------- config files
@@ -273,13 +284,12 @@ def _assemble(top: dict, blocks: list[dict]) -> RunConfig:
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"line {problem_line}: {exc}") from None
 
-    preset = None
+    spec = None
     if "preset" in top:
         preset, preset_line = top["preset"]
-        if preset not in PRESET_SUMMARIES:
-            raise ConfigError(
-                f"line {preset_line}: unknown preset {preset!r}; available: "
-                + ", ".join(sorted(PRESET_SUMMARIES)))
+        if preset not in PRESETS:
+            raise ConfigError(f"line {preset_line}: {_unknown_preset(preset)}")
+        spec = PRESETS[preset]
 
     # Parse whatever is present first so malformed lines get cited before
     # any complaint about keys that are merely missing.
@@ -299,33 +309,21 @@ def _assemble(top: dict, blocks: list[dict]) -> RunConfig:
         kwargs["repetitions"] = _parse_int(top["repetitions"], "repetitions")
     if "output_dir" in top:
         kwargs["output_dir"] = top["output_dir"][0]
-    if "deterministic" in top:
-        kwargs["deterministic"] = _parse_bool(top["deterministic"],
-                                              "deterministic")
 
     if population is None:
-        if preset == "hen-protocol":
-            population = problem.domain.size
-        elif preset == "mutas-protocol":
-            population = 20
-        else:
+        if spec is None:
             raise ConfigError(
                 "missing required key 'np' (no preset supplies it)")
+        population = spec.population_size(problem)
     if budget is None:
-        if preset == "hen-protocol":
-            budget = Budget.messages(60_000)
-        elif preset == "mutas-protocol":
-            budget = Budget.evaluations(1_000)
-        else:
+        if spec is None:
             raise ConfigError(
                 "missing required key 'budget' (no preset supplies it)")
+        budget = spec.budget
     if not solvers:
-        if preset == "hen-protocol":
-            solvers = _hen_roster(population)
-        elif preset == "mutas-protocol":
-            solvers = _mutas_roster(population)
-        else:
+        if spec is None:
             raise ConfigError("no [solver] blocks and no preset roster")
+        solvers = spec.roster(population)
 
     try:
         return RunConfig(problem=problem_name, budget=budget, solvers=solvers,
@@ -386,7 +384,7 @@ async def _run_agents(cfg: RunConfig, problem: Problem,
         sharing=cfg.sharing,
         events=sink,
     )
-    seq = SeqCounter()
+    seq = itertools.count(1)
     stats = {eid: EvaluatorStats(eid) for eid in evaluator_mbs}
 
     tasks = [asyncio.ensure_future(
@@ -476,8 +474,7 @@ def run_once(cfg: RunConfig, rep_index: int) -> RunReport:
         }
         for e in events if e.get("event") == "improvement"
     ]
-    report.per_solver_evaluations = dict(Counter(
-        e["solver"] for e in events if e.get("event") == "dispatch"))
+    report.per_solver_evaluations = dict(state.dispatches_per_solver)
     if problem.n_obj > 1 and snapshot.front:
         report.metrics_row = front_metrics(
             [e.objectives for e in snapshot.front], cfg.problem)

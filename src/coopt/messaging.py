@@ -4,8 +4,9 @@ Agents run as cooperatively scheduled tasks on one event loop and exchange
 immutable messages through mailboxes.  A mailbox has a fixed capacity:
 ``put`` suspends the sender while full, ``take`` suspends the receiver while
 empty.  Closing a mailbox wakes every blocked party with ``MailboxClosed``,
-which agents treat as the terminate signal.  Reply mailboxes ("wormholes")
-carry exactly one message over their lifetime.
+which agents treat as the terminate signal.  A one-shot reply (an
+evaluation back to its solver, the archive back to the scheduler) travels on
+a bare ``asyncio.Future`` instead of a mailbox.
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ from typing import Any, NamedTuple
 class MessageKind(Enum):
     ANALYSESOLUTION = "ANALYSESOLUTION"   # evaluation result for the analysis agent
     EVALUATEPOINT = "EVALUATEPOINT"       # request/dispatch of a point to evaluate
-    OBJECTIVEVALUE = "OBJECTIVEVALUE"     # evaluation result back to the solver
+    OBJECTIVEVALUE = "OBJECTIVEVALUE"     # evaluation result (solver's reply future)
     REQUESTPOINT = "REQUESTPOINT"         # evaluator announces availability
     RETRIEVEBEST = "RETRIEVEBEST"         # ask the analysis agent for the archive
     SHAREBEST = "SHAREBEST"               # broadcast of an improved solution
-    STATISTICSBEST = "STATISTICSBEST"     # archive snapshot reply
+    STATISTICSBEST = "STATISTICSBEST"     # archive snapshot (scheduler's reply future)
 
 
 class Message(NamedTuple):
@@ -58,10 +59,6 @@ class Mailbox:
         self.puts = 0
         self.takes = 0
         self.drops = 0
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
 
     def __len__(self) -> int:
         return len(self._items)
@@ -155,11 +152,10 @@ class Mailbox:
         try:
             await fut
         except asyncio.CancelledError:
-            if not fut.done():
+            # A waiter woken but cancelled before it ran would swallow the
+            # wakeup; pass it on, as asyncio.Queue does.
+            if fut.done() and not fut.cancelled():
+                self._wake(waiters)
+            else:
                 fut.cancel()
             raise
-
-
-def reply_mailbox(owner: str) -> Mailbox:
-    """Single-use reply channel: exactly one put and one take."""
-    return Mailbox(1, name=f"reply:{owner}")

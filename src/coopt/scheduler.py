@@ -9,21 +9,22 @@ protocol that unblocks all other agents.
 
 from __future__ import annotations
 
-from collections import deque
+import asyncio
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from coopt.messaging import Mailbox, MailboxClosed, Message, MessageKind, reply_mailbox
+from coopt.messaging import Mailbox, MailboxClosed, Message, MessageKind
 
 P_MAX = 10
 
 
 @dataclass(frozen=True)
 class EvaluationRequest:
-    """A point awaiting dispatch, with the reply channel of the asking solver."""
+    """A point awaiting dispatch, with the reply future of the asking solver."""
 
     point: Any
-    reply: Mailbox
+    reply: asyncio.Future
     solver_id: str
     priority_at_enqueue: int = 1
 
@@ -47,16 +48,6 @@ class PriorityQueues:
 
     def __len__(self) -> int:
         return sum(len(level) for level in self._levels)
-
-    def level(self, priority: int) -> tuple:
-        """Requests currently queued at one level, head first."""
-        return tuple(self._levels[priority])
-
-    def level_of(self, request: EvaluationRequest) -> int:
-        for p in range(self.p_max, 0, -1):
-            if request in self._levels[p]:
-                return p
-        raise LookupError("request not queued")
 
     def enqueue(self, request: EvaluationRequest) -> None:
         if not 1 <= request.priority_at_enqueue <= self.p_max:
@@ -123,6 +114,7 @@ class SchedulerState:
     busy: set = field(default_factory=set)
     msg_count: int = 0
     dispatches: int = 0
+    dispatches_per_solver: Counter = field(default_factory=Counter)
     broadcasts: int = 0
     refusals: int = 0
     improvements: int = 0
@@ -192,17 +184,20 @@ def _broadcast(state: SchedulerState, evaluation,
 
 
 def _dispatch_idle(state: SchedulerState, emit: Callable[[dict], None]) -> None:
-    while state.idle and len(state.queues):
+    while state.idle:
         if state.budget.kind == "evaluations" \
                 and state.dispatches >= state.budget.limit:
             return
         request = state.queues.next_request()
+        if request is None:
+            return
         evaluator_id = state.idle.popleft()
         # The evaluator announced idleness, so its mailbox is empty.
         state.evaluator_mailboxes[evaluator_id].put_nowait(
             Message(MessageKind.EVALUATEPOINT, "scheduler", request))
         state.busy.add(evaluator_id)
         state.dispatches += 1
+        state.dispatches_per_solver[request.solver_id] += 1
         emit({
             "event": "dispatch",
             "evaluator": evaluator_id,
@@ -214,7 +209,8 @@ def _dispatch_idle(state: SchedulerState, emit: Callable[[dict], None]) -> None:
 
 def _refuse(state: SchedulerState, request: EvaluationRequest,
             emit: Callable[[dict], None]) -> None:
-    request.reply.close()
+    if not request.reply.done():
+        request.reply.set_exception(MailboxClosed(request.solver_id))
     state.refusals += 1
     emit({"event": "refusal", "solver": request.solver_id})
 
@@ -254,10 +250,10 @@ async def _shutdown(state: SchedulerState, emit: Callable[[dict], None]) -> Any:
         elif message.kind is MessageKind.ANALYSESOLUTION:
             _handle(state, message, emit, broadcasting=False)
 
-    reply = reply_mailbox("scheduler")
+    reply = asyncio.get_running_loop().create_future()
     await state.analysis_inbox.put(
         Message(MessageKind.RETRIEVEBEST, "scheduler", reply))
-    snapshot = (await reply.take()).content
+    snapshot = await reply
     state.analysis_inbox.close()
     emit({
         "event": "terminated",

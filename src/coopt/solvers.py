@@ -2,7 +2,7 @@
 
 Population methods (GA, PPA, PSO) and direct-search methods (SD, CS) never
 see the model: every candidate goes through ``proxy_objective``, which
-routes it to the scheduler and waits on a single-use reply channel.  Each
+routes it to the scheduler and waits on a reply future.  Each
 kind also has its own policy for absorbing solutions broadcast by the
 scheduler when sharing is on:
 
@@ -16,6 +16,7 @@ textbook defaults; nothing here tries to be best in class.
 
 from __future__ import annotations
 
+import asyncio
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -23,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from coopt.core import Domain, Evaluation, better, dominates, freeze_point
-from coopt.messaging import Mailbox, MailboxClosed, Message, MessageKind, reply_mailbox
+from coopt.messaging import Mailbox, MailboxClosed, Message, MessageKind
 from coopt.scheduler import EvaluationRequest
 
 MH_KINDS = ("GA", "PPA", "PSO")
@@ -87,16 +88,18 @@ class SolverConfig:
 async def proxy_objective(point: np.ndarray, solver_id: str,
                           scheduler_inbox: Mailbox,
                           priority: int = 1) -> Evaluation:
-    """Have the scheduler evaluate one point; block until the result returns."""
-    reply = reply_mailbox(solver_id)
+    """Have the scheduler evaluate one point; block until the result returns.
+
+    A refused request's future raises ``MailboxClosed``.
+    """
+    reply = asyncio.get_running_loop().create_future()
     request = EvaluationRequest(freeze_point(point), reply, solver_id, priority)
     try:
         await scheduler_inbox.put(
             Message(MessageKind.EVALUATEPOINT, solver_id, request))
-        message = await reply.take()
+        return await reply
     except MailboxClosed as exc:
         raise SolverTerminated(solver_id) from exc
-    return message.content
 
 
 # ------------------------------------------------------------------ fitness

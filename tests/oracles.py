@@ -10,6 +10,24 @@ import numpy as np
 from coopt.core import dominates
 
 
+def objective_key(evaluation):
+    """Hashable identity of an evaluation in objective space."""
+    return (evaluation.objectives, evaluation.constraint)
+
+
+def level(queues, priority):
+    """Requests queued at one priority level of a PriorityQueues, head first."""
+    return tuple(queues._levels[priority])
+
+
+def level_of(queues, request):
+    """The priority level a queued request currently sits at."""
+    for p in range(queues.p_max, 0, -1):
+        if request in queues._levels[p]:
+            return p
+    raise LookupError("request not queued")
+
+
 def brute_force_front(evaluations):
     """Quadratic non-dominated filter with first-arrival duplicate rule."""
     survivors = []

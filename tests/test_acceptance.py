@@ -20,6 +20,7 @@ from coopt.scheduler import P_MAX, EvaluationRequest, PriorityQueues
 from coopt.solvers import finite_difference_gradient
 from oracles import (
     brute_force_front_2d,
+    level_of,
     monte_carlo_hypervolume,
     rosenbrock_gradient,
     sphere_gradient,
@@ -87,7 +88,7 @@ def test_no_request_starves_under_mixed_priorities():
     low = request("low", priority=1)
     probe.enqueue(low)
     promotions = 0
-    while probe.level_of(low) < P_MAX:
+    while level_of(probe, low) < P_MAX:
         probe.promote()
         promotions += 1
     elapsed = time.perf_counter() - started
@@ -242,7 +243,7 @@ def test_evaluation_budget_is_exact_for_the_evaluation_protocol():
 
 def test_deterministic_replay_is_byte_identical(tmp_path):
     cfg = preset_config("mutas-protocol", "biobj-quadratic-5", seed=SEED,
-                        n_evaluators=1, deterministic=True, repetitions=1)
+                        n_evaluators=3, repetitions=1)
     traces = []
     for attempt in range(2):
         out = tmp_path / f"attempt-{attempt}"
@@ -254,8 +255,8 @@ def test_deterministic_replay_is_byte_identical(tmp_path):
     identical = traces[0] == traces[1]
     sizes = {m: len(b) for m, b in traces[0].items()}
     check(9, identical,
-          f"two runs with the same seed wrote byte-identical trace.csv "
-          f"per mode (sizes {sizes})")
+          f"two runs with the same seed and 3 evaluators wrote "
+          f"byte-identical trace.csv per mode (sizes {sizes})")
 
 
 # 10 ---------------------------------------------------------------------

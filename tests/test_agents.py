@@ -1,19 +1,20 @@
 """Scheduler + evaluators + analysis wired together with scripted solvers.
 
 Scripted solvers mimic the proxy protocol: put EVALUATEPOINT with a fresh
-reply channel, wait on the reply.  Solver agents never stop on their own
+reply future, wait on the reply.  Solver agents never stop on their own
 (only the scheduler terminates a run), so after a finite script the solver
 keeps the message flow alive with a non-improving tail point.
 """
 
 import asyncio
+import itertools
 
 import numpy as np
 
 from coopt.analysis import MULTI, SINGLE, Archive, analysis_loop
 from coopt.core import Problem, freeze_point, uniform_box
-from coopt.evaluator import EvaluatorStats, SeqCounter, evaluator_loop
-from coopt.messaging import Mailbox, MailboxClosed, Message, MessageKind, reply_mailbox
+from coopt.evaluator import EvaluatorStats, evaluator_loop
+from coopt.messaging import Mailbox, MailboxClosed, Message, MessageKind
 from coopt.scheduler import Budget, EvaluationRequest, SchedulerState, scheduler_loop
 
 
@@ -25,12 +26,12 @@ SPHERE3 = Problem("sphere-3", uniform_box(-5.0, 5.0, 3), 1, sphere)
 
 
 async def _ask(solver_id, point, scheduler_inbox, priority):
-    reply = reply_mailbox(solver_id)
+    reply = asyncio.get_running_loop().create_future()
     request = EvaluationRequest(freeze_point(np.asarray(point, dtype=float)),
                                 reply, solver_id, priority)
     await scheduler_inbox.put(
         Message(MessageKind.EVALUATEPOINT, solver_id, request))
-    return (await reply.take()).content
+    return await reply
 
 
 async def scripted_solver(solver_id, points, scheduler_inbox, results,
@@ -75,7 +76,7 @@ def wire(solver_ids, n_evaluators, budget, sharing=False, events=None,
         sharing=sharing,
         events=events,
     )
-    seq = SeqCounter()
+    seq = itertools.count(1)
     stats = {eid: EvaluatorStats(eid) for eid in evaluator_mbs}
     agent_tasks = [
         analysis_loop(analysis_inbox, scheduler_inbox, Archive(mode)),
@@ -266,3 +267,41 @@ def test_multi_objective_pipeline_builds_front():
     assert len(archive.front) == 11  # exactly the points with 0 <= d <= 1
     for e in archive.front:
         assert 0.0 <= e.point[0] <= 1.0
+
+
+def test_cancelled_solvers_do_not_crash_evaluator_or_scheduler():
+    solver_tasks = {}
+
+    def cancelling_sphere(point, params):
+        # Runs inside the evaluator on the one dispatched point (a's).  By
+        # then b's request is queued; cancel both solvers, so a's reply and
+        # b's refusal both meet a cancelled future.
+        for task in solver_tasks.values():
+            task.cancel()
+        return sphere(point, params)
+
+    problem = Problem("sphere-3", uniform_box(-5.0, 5.0, 3), 1,
+                      cancelling_sphere)
+
+    async def go():
+        state, agents, _, stats = wire(["a", "b"], 1, Budget.evaluations(1),
+                                       problem=problem)
+        # Solvers first: both requests are queued before the evaluator
+        # announces itself, so one is dispatched and the other refused.
+        for sid in ("a", "b"):
+            solver_tasks[sid] = asyncio.ensure_future(
+                scripted_solver(sid, [[1.0, 2.0, 3.0]], state.inbox, []))
+        tasks = [asyncio.ensure_future(t) for t in agents]
+        await asyncio.wait_for(scheduler_loop(state), timeout=10)
+        outcomes = await asyncio.wait_for(
+            asyncio.gather(*tasks, return_exceptions=True), timeout=5)
+        solvers = await asyncio.gather(*solver_tasks.values(),
+                                       return_exceptions=True)
+        return state, outcomes, solvers, stats["eval-0"]
+
+    state, outcomes, solvers, stats = asyncio.run(go())
+    assert not [o for o in outcomes if isinstance(o, BaseException)]
+    assert all(isinstance(o, asyncio.CancelledError) for o in solvers)
+    assert (state.dispatches, state.refusals) == (1, 1)
+    assert (stats.evaluations, stats.replies_delivered) == (1, 0)
+    assert stats.analysis_sent == 1

@@ -6,8 +6,8 @@ import numpy as np
 
 from coopt.analysis import MULTI, SINGLE, Archive, analysis_loop, update_archive
 from coopt.core import Evaluation, freeze_point
-from coopt.messaging import Mailbox, MailboxClosed, Message, MessageKind, reply_mailbox
-from oracles import brute_force_front
+from coopt.messaging import Mailbox, MailboxClosed, Message, MessageKind
+from oracles import brute_force_front, objective_key
 
 
 def ev(z, g=-1.0, seq=-1, solver="s"):
@@ -16,7 +16,7 @@ def ev(z, g=-1.0, seq=-1, solver="s"):
 
 
 def front_keys(members):
-    return {e.key() for e in members}
+    return {objective_key(e) for e in members}
 
 
 # ------------------------------------------------------- update_archive
@@ -103,9 +103,9 @@ async def _drive(stream, mode=SINGLE):
     task = asyncio.ensure_future(analysis_loop(inbox, sched, archive))
     for e in stream:
         await inbox.put(Message(MessageKind.ANALYSESOLUTION, "eval", e))
-    reply = reply_mailbox("test")
+    reply = asyncio.get_running_loop().create_future()
     await inbox.put(Message(MessageKind.RETRIEVEBEST, "test", reply))
-    snapshot = (await reply.take()).content
+    snapshot = await reply
     inbox.close()
     await task
     notifications = []
@@ -140,9 +140,9 @@ def test_loop_survives_closed_scheduler_inbox():
         sched.close()
         task = asyncio.ensure_future(analysis_loop(inbox, sched, Archive(SINGLE)))
         await inbox.put(Message(MessageKind.ANALYSESOLUTION, "eval", ev(1.0)))
-        reply = reply_mailbox("test")
+        reply = asyncio.get_running_loop().create_future()
         await inbox.put(Message(MessageKind.RETRIEVEBEST, "test", reply))
-        snapshot = (await reply.take()).content
+        snapshot = await reply
         inbox.close()
         await task
         return snapshot
@@ -158,3 +158,13 @@ def test_snapshot_is_independent_copy():
     update_archive(a, ev(1.0))
     assert snap.best.objectives == (2.0,)
     assert len(snap.history) == 1
+
+
+def test_large_archive_repr_is_short():
+    # asyncio.run reprs the run's result on exit; a 5k-member front must
+    # not be rendered member by member.
+    front = [ev((float(i), float(5_000 - i)), seq=i) for i in range(5_000)]
+    a = Archive(MULTI, front=front,
+                history=[(e.seq, e, e.solver_id) for e in front])
+    assert len(repr(a)) < 200
+    assert len(repr(a.snapshot())) < 200

@@ -14,7 +14,7 @@ from coopt.harness import (
     preset_config,
     run_experiment,
     run_once,
-    write_trace_csv,
+    write_run_dir,
 )
 from coopt.scheduler import Budget
 from coopt.solvers import SolverConfig
@@ -94,7 +94,6 @@ def test_full_explicit_config(tmp_path):
         seed = 17
         repetitions = 3
         output_dir = out/here
-        deterministic = true
 
         [solver]
         kind = SD
@@ -103,8 +102,7 @@ def test_full_explicit_config(tmp_path):
     assert cfg.budget == Budget.evaluations(250)
     assert cfg.population_size == 8
     assert (cfg.n_evaluators, cfg.sharing, cfg.seed) == (1, False, 17)
-    assert (cfg.repetitions, cfg.output_dir, cfg.deterministic) \
-        == (3, "out/here", True)
+    assert (cfg.repetitions, cfg.output_dir) == (3, "out/here")
     assert cfg.solvers[0].weight == 0.25
     assert cfg.solvers[0].label == "sd-1"
 
@@ -167,11 +165,32 @@ def test_duplicate_labels_rejected(tmp_path):
     assert "duplicate solver labels" in str(err.value)
 
 
-def test_deterministic_requires_single_evaluator():
-    with pytest.raises(ValueError):
-        RunConfig(problem="sphere-3", budget=Budget.messages(10),
-                  solvers=(SolverConfig("GA", 2),), population_size=2,
-                  n_evaluators=2, deterministic=True)
+def test_deterministic_key_is_rejected_with_its_line(tmp_path):
+    # Any n_evaluators replays byte-identically, so the old switch is gone.
+    with pytest.raises(ConfigError) as err:
+        load_config(write(tmp_path, "\n".join([
+            "problem = sphere-3", "preset = hen-protocol",
+            "n_evaluators = 1", "deterministic = true",
+        ])))
+    assert "line 4: unknown key 'deterministic'" in str(err.value)
+
+
+def test_preset_config_overrides_replace_preset_values():
+    roster = (SolverConfig("CS", instance_label="only-cs"),)
+    cfg = preset_config("hen-protocol", "sphere-3",
+                        budget=Budget.evaluations(50), solvers=roster,
+                        n_evaluators=3, seed=4)
+    assert cfg.budget == Budget.evaluations(50)
+    assert cfg.solvers == roster
+    assert (cfg.n_evaluators, cfg.seed, cfg.population_size) == (3, 4, 3)
+
+    sized = preset_config("mutas-protocol", "biobj-quadratic-5",
+                          population_size=6)
+    assert sized.population_size == 6
+    assert sized.budget == Budget.evaluations(1_000)
+    assert [s.size_param for s in sized.solvers[:6]] == [12, 30, 3, 12, 6, 30]
+    with pytest.raises(ValueError, match="unknown preset"):
+        preset_config("no-such-protocol", "sphere-3")
 
 
 # ------------------------------------------------------------------ running
@@ -241,15 +260,26 @@ def test_events_conserve_messages():
                 == record["analysis_sent"]
 
 
-def test_deterministic_runs_write_identical_traces(tmp_path):
-    cfg = replace(SMALL, n_evaluators=1, deterministic=True)
-    paths = []
-    for i in range(2):
-        report = run_once(cfg, 0)
-        path = tmp_path / f"trace-{i}.csv"
-        write_trace_csv(path, report)
-        paths.append(path)
-    assert paths[0].read_bytes() == paths[1].read_bytes()
+@pytest.mark.parametrize("sharing", [False, True],
+                         ids=["independent", "cooperating"])
+@pytest.mark.parametrize("preset, problem, budget", [
+    ("mutas-protocol", "biobj-quadratic-5", None),
+    ("hen-protocol", "rastrigin-10", Budget.messages(10_000)),
+    ("hen-protocol", "constrained-sphere-10", Budget.messages(10_000)),
+], ids=["mutas-biobj-quadratic-5", "hen-rastrigin-10",
+        "hen-constrained-sphere-10"])
+def test_reruns_with_three_evaluators_are_byte_identical(
+        tmp_path, preset, problem, budget, sharing):
+    overrides = {"budget": budget} if budget else {}
+    cfg = preset_config(preset, problem, seed=11, n_evaluators=3,
+                        sharing=sharing, **overrides)
+    outputs = []
+    for attempt in range(2):
+        run_dir = write_run_dir(tmp_path / str(attempt), run_once(cfg, 0))
+        outputs.append([(run_dir / name).read_bytes() for name in
+                        ("trace.csv", "archive.csv", "events.log")])
+    assert outputs[0] == outputs[1]
+    assert all(outputs[0])
 
 
 # --------------------------------------------------------------- experiment

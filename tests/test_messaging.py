@@ -9,7 +9,6 @@ from coopt.messaging import (
     MailboxClosed,
     Message,
     MessageKind,
-    reply_mailbox,
 )
 
 
@@ -178,15 +177,38 @@ def test_message_conservation_counters():
     assert stats["puts"] == 5 and stats["takes"] == 2 and stats["queued"] == 3
 
 
-def test_reply_mailbox_single_use():
+def test_cancelled_woken_taker_passes_the_wakeup_on():
     async def go():
-        rmb = reply_mailbox("solver-1")
-        assert rmb.capacity == 1
-        await rmb.put(msg("result"))
-        got = await rmb.take()
-        return got.content
+        mb = Mailbox(4)
+        first = asyncio.ensure_future(mb.take())
+        second = asyncio.ensure_future(mb.take())
+        await asyncio.sleep(0)              # both takers park
+        mb.put_nowait(msg("only"))          # wakes the first taker ...
+        first.cancel()                      # ... which dies before it runs
+        got = await asyncio.wait_for(second, timeout=1)
+        return got.content, mb.stats()
 
-    assert run(go()) == "result"
+    content, stats = run(go())
+    assert content == "only"
+    assert stats["puts"] == stats["takes"] + stats["drops"] + stats["queued"]
+    assert stats["queued"] == 0
+
+
+def test_cancelled_woken_putter_passes_the_wakeup_on():
+    async def go():
+        mb = Mailbox(1)
+        await mb.put(msg(0))
+        first = asyncio.ensure_future(mb.put(msg(1)))
+        second = asyncio.ensure_future(mb.put(msg(2)))
+        await asyncio.sleep(0)              # both putters park
+        await mb.take()                     # frees the slot, wakes first
+        first.cancel()
+        await asyncio.wait_for(second, timeout=1)
+        return (await mb.take()).content, mb.stats()
+
+    content, stats = run(go())
+    assert content == 2
+    assert stats["puts"] == stats["takes"] + stats["drops"] + stats["queued"]
 
 
 def test_multi_producer_per_producer_order():

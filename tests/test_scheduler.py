@@ -5,12 +5,12 @@ from collections import deque
 import numpy as np
 import pytest
 
-from coopt.messaging import Mailbox
 from coopt.scheduler import P_MAX, Budget, EvaluationRequest, PriorityQueues
+from oracles import level, level_of
 
 
 def req(solver="s", priority=1):
-    return EvaluationRequest(point=None, reply=Mailbox(1),
+    return EvaluationRequest(point=None, reply=object(),  # unique per request
                              solver_id=solver, priority_at_enqueue=priority)
 
 
@@ -18,7 +18,7 @@ def test_enqueue_files_at_own_priority():
     q = PriorityQueues()
     r = req(priority=3)
     q.enqueue(r)
-    assert q.level(3) == (r,)
+    assert level(q, 3) == (r,)
     assert len(q) == 1
 
 
@@ -27,14 +27,14 @@ def test_enqueue_same_level_is_fifo():
     r1, r2 = req("a"), req("b")
     q.enqueue(r1)
     q.enqueue(r2)
-    assert q.level(1) == (r1, r2)
+    assert level(q, 1) == (r1, r2)
 
 
 def test_enqueue_top_level():
     q = PriorityQueues()
     r = req(priority=P_MAX)
     q.enqueue(r)
-    assert q.level(P_MAX)[0] is r
+    assert level(q, P_MAX)[0] is r
 
 
 def test_enqueue_rejects_out_of_range_priority():
@@ -60,8 +60,8 @@ def test_next_request_promotes_remaining_heads():
     q.enqueue(c)
     assert q.next_request() is b
     # c was the remaining head at level 4 and moved up one.
-    assert q.level(4) == ()
-    assert q.level(5) == (c,)
+    assert level(q, 4) == ()
+    assert level(q, 5) == (c,)
 
 
 def test_next_request_on_empty_returns_none():
@@ -75,9 +75,9 @@ def test_promotion_sweep_is_high_to_low():
     for r in (r1, r2, r3):
         q.enqueue(r)
     q.promote()
-    assert q.level(1) == (r2,)
-    assert q.level(2) == (r1,)
-    assert q.level(3) == (r3,)
+    assert level(q, 1) == (r2,)
+    assert level(q, 2) == (r1,)
+    assert level(q, 3) == (r3,)
 
 
 def test_promotion_leaves_top_level_alone():
@@ -85,7 +85,7 @@ def test_promotion_leaves_top_level_alone():
     r = req(priority=P_MAX)
     q.enqueue(r)
     q.promote()
-    assert q.level(P_MAX) == (r,)
+    assert level(q, P_MAX) == (r,)
 
 
 def test_bottom_request_reaches_top_after_nine_promotions():
@@ -93,9 +93,9 @@ def test_bottom_request_reaches_top_after_nine_promotions():
     r = req(priority=1)
     q.enqueue(r)
     for step in range(P_MAX - 1):
-        assert q.level_of(r) == step + 1
+        assert level_of(q, r) == step + 1
         q.promote()
-    assert q.level_of(r) == P_MAX
+    assert level_of(q, r) == P_MAX
 
 
 def test_no_starvation_under_mixed_priorities():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from coopt.core import Domain, Evaluation, VarKind, freeze_point, uniform_box
-from coopt.messaging import Mailbox, Message, MessageKind
+from coopt.messaging import Mailbox, MailboxClosed, Message, MessageKind
 from coopt.solvers import (
     INFEASIBILITY_PENALTY,
     SolverConfig,
@@ -91,9 +91,8 @@ def test_proxy_routes_point_and_returns_result():
         async def fake_scheduler():
             message = await inbox.take()
             request = message.content
-            result = ev(request.point, float(np.sum(request.point)))
-            request.reply.put_nowait(
-                Message(MessageKind.OBJECTIVEVALUE, "eval", result))
+            request.reply.set_result(
+                ev(request.point, float(np.sum(request.point))))
 
         task = asyncio.ensure_future(fake_scheduler())
         evaluation = await proxy_objective(np.array([1.0, 2.0]), "s", inbox)
@@ -111,10 +110,9 @@ def test_concurrent_proxies_get_their_own_results():
             for _ in range(2):
                 message = await inbox.take()
                 request = message.content
-                result = ev(request.point, float(np.sum(request.point)),
-                            seq=int(request.point[0]))
-                request.reply.put_nowait(
-                    Message(MessageKind.OBJECTIVEVALUE, "eval", result))
+                request.reply.set_result(
+                    ev(request.point, float(np.sum(request.point)),
+                       seq=int(request.point[0])))
 
         task = asyncio.ensure_future(fake_scheduler())
         a, b = await asyncio.gather(
@@ -134,6 +132,23 @@ def test_proxy_after_shutdown_raises_terminate():
         inbox.close()
         with pytest.raises(SolverTerminated):
             await proxy_objective(np.array([0.0, 0.0]), "s", inbox)
+
+    run(go())
+
+
+def test_refused_request_raises_terminate():
+    async def go():
+        inbox = Mailbox(4, name="scheduler")
+
+        async def refusing_scheduler():
+            request = (await inbox.take()).content
+            request.reply.set_exception(MailboxClosed(request.solver_id))
+
+        task = asyncio.ensure_future(refusing_scheduler())
+        with pytest.raises(SolverTerminated):
+            await asyncio.wait_for(
+                proxy_objective(np.array([0.0, 0.0]), "s", inbox), timeout=5)
+        await task
 
     run(go())
 
