@@ -4,7 +4,8 @@ Every completed evaluation passes through here.  In single-objective mode
 the archive keeps the one best evaluation under `better`; in multi-objective
 mode it keeps the mutually non-dominated set.  Improvements are forwarded to
 the scheduler (which relays them to solvers when sharing is on) and recorded
-in an append-only history for trace reporting.
+in an append-only history.  A run's ``trace.csv`` is written from the
+scheduler's improvement events, not from this history.
 """
 
 from __future__ import annotations

@@ -23,10 +23,11 @@ solver instance; ``#`` starts a comment (whole line or trailing)::
     priority = 1
     label = ga-big
 
-Recognized top-level keys: ``problem``, ``preset``, ``budget`` (written as
-``messages:60000`` or ``evaluations:1000``), ``np`` (shared initial
-population size), ``n_evaluators``, ``sharing``, ``seed``, ``repetitions``,
-``output_dir``.  Any other key is rejected with its line cited.
+The recognized keys, and the field each one sets, are the tables
+``_TOP_KEYS`` (top level) and ``_SOLVER_KEYS`` (``[solver]`` blocks).  Any
+other key is rejected with its line cited.  A named preset fills in the
+budget, ``np`` (shared initial population size) and roster that the file
+leaves out, exactly as ``preset_config`` does.
 """
 
 from __future__ import annotations
@@ -58,12 +59,6 @@ from coopt.scheduler import Budget, SchedulerState, scheduler_loop
 from coopt.solvers import SolverConfig, solver_loop
 
 MODES = (("independent", False), ("cooperating", True))
-
-_TOP_KEYS = frozenset({
-    "problem", "preset", "budget", "np", "n_evaluators", "sharing",
-    "seed", "repetitions", "output_dir",
-})
-_SOLVER_KEYS = frozenset({"kind", "size", "omega", "priority", "label"})
 
 
 class ConfigError(ValueError):
@@ -195,13 +190,50 @@ def preset_config(preset: str, problem: str, **overrides) -> RunConfig:
     if preset not in PRESETS:
         raise ValueError(_unknown_preset(preset))
     spec = PRESETS[preset]
-    ps = overrides.pop("population_size", None) \
-        or spec.population_size(problem_obj)
+    ps = overrides.pop("population_size", None)
+    if ps is None:
+        ps = spec.population_size(problem_obj)
     fields = {"budget": spec.budget, "solvers": spec.roster(ps), **overrides}
     return RunConfig(problem=problem, population_size=ps, **fields)
 
 
 # ------------------------------------------------------------- config files
+
+def _bool(value: str) -> bool:
+    return {"true": True, "false": False}[value.lower()]
+
+
+def _budget(value: str) -> Budget:
+    kind, limit = value.split(":")
+    kind, limit = kind.strip(), int(limit)
+    try:
+        return Budget(kind, limit)
+    except ValueError as exc:  # well-formed, but not a valid budget
+        raise ConfigError(exc) from None
+
+
+# Config key -> (field it sets, parser, what a value the parser rejects
+# "must" do, for the error message).
+_TOP_KEYS = {
+    "problem": ("problem", str, ""),
+    "preset": ("preset", str, ""),
+    "budget": ("budget", _budget,
+               "look like messages:60000 or evaluations:1000"),
+    "np": ("population_size", int, "be an integer"),
+    "n_evaluators": ("n_evaluators", int, "be an integer"),
+    "sharing": ("sharing", _bool, "be true or false"),
+    "seed": ("seed", int, "be an integer"),
+    "repetitions": ("repetitions", int, "be an integer"),
+    "output_dir": ("output_dir", str, ""),
+}
+_SOLVER_KEYS = {
+    "kind": ("kind", str, ""),
+    "size": ("size_param", int, "be an integer"),
+    "omega": ("weight", float, "be a number"),
+    "priority": ("priority", int, "be an integer"),
+    "label": ("instance_label", str, ""),
+}
+
 
 def load_config(path) -> RunConfig:
     """Parse and validate a config file; errors cite the offending line."""
@@ -235,99 +267,47 @@ def load_config(path) -> RunConfig:
     return _assemble(top, blocks)
 
 
-def _parse_int(entry: tuple[str, int], key: str) -> int:
-    value, lineno = entry
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(
-            f"line {lineno}: {key} must be an integer, got {value!r}") \
-            from None
-
-
-def _parse_float(entry: tuple[str, int], key: str) -> float:
-    value, lineno = entry
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(
-            f"line {lineno}: {key} must be a number, got {value!r}") from None
-
-
-def _parse_bool(entry: tuple[str, int], key: str) -> bool:
-    value, lineno = entry
-    if value.lower() in ("true", "false"):
-        return value.lower() == "true"
-    raise ConfigError(
-        f"line {lineno}: {key} must be true or false, got {value!r}")
-
-
-def _parse_budget(entry: tuple[str, int]) -> Budget:
-    value, lineno = entry
-    kind, sep, limit = value.partition(":")
-    if not sep:
-        raise ConfigError(
-            f"line {lineno}: budget must look like messages:60000 or "
-            f"evaluations:1000, got {value!r}")
-    try:
-        return Budget(kind.strip(), int(limit.strip()))
-    except ValueError as exc:
-        raise ConfigError(f"line {lineno}: {exc}") from None
+def _fields(entries: dict[str, tuple[str, int]], table: dict) -> dict:
+    """Convert one section's ``key -> (value, line)`` entries to fields."""
+    fields = {}
+    for key, (value, lineno) in entries.items():
+        name, parse, must = table[key]
+        try:
+            fields[name] = parse(value)
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
+        except (KeyError, ValueError):
+            raise ConfigError(
+                f"line {lineno}: {key} must {must}, got {value!r}") from None
+    return fields
 
 
 def _assemble(top: dict, blocks: list[dict]) -> RunConfig:
+    fields = _fields(top, _TOP_KEYS)
+    if blocks:
+        fields["solvers"] = tuple(_solver_from_block(i, block)
+                                  for i, block in enumerate(blocks))
     if "problem" not in top:
         raise ConfigError("missing required key 'problem'")
-    problem_name, problem_line = top["problem"]
     try:
-        problem = registry_get(problem_name)
+        registry_get(fields["problem"])
     except (KeyError, ValueError) as exc:
-        raise ConfigError(f"line {problem_line}: {exc}") from None
-
-    spec = None
-    if "preset" in top:
-        preset, preset_line = top["preset"]
-        if preset not in PRESETS:
-            raise ConfigError(f"line {preset_line}: {_unknown_preset(preset)}")
-        spec = PRESETS[preset]
-
-    # Parse whatever is present first so malformed lines get cited before
-    # any complaint about keys that are merely missing.
-    population = _parse_int(top["np"], "np") if "np" in top else None
-    budget = _parse_budget(top["budget"]) if "budget" in top else None
-    solvers = tuple(_solver_from_block(i, block)
-                    for i, block in enumerate(blocks))
-    kwargs: dict = {}
-    if "n_evaluators" in top:
-        kwargs["n_evaluators"] = _parse_int(top["n_evaluators"],
-                                            "n_evaluators")
-    if "sharing" in top:
-        kwargs["sharing"] = _parse_bool(top["sharing"], "sharing")
-    if "seed" in top:
-        kwargs["seed"] = _parse_int(top["seed"], "seed")
-    if "repetitions" in top:
-        kwargs["repetitions"] = _parse_int(top["repetitions"], "repetitions")
-    if "output_dir" in top:
-        kwargs["output_dir"] = top["output_dir"][0]
-
-    if population is None:
-        if spec is None:
-            raise ConfigError(
-                "missing required key 'np' (no preset supplies it)")
-        population = spec.population_size(problem)
-    if budget is None:
-        if spec is None:
-            raise ConfigError(
-                "missing required key 'budget' (no preset supplies it)")
-        budget = spec.budget
-    if not solvers:
-        if spec is None:
+        raise ConfigError(f"line {top['problem'][1]}: {exc}") from None
+    preset = fields.pop("preset", None)
+    if preset is None:
+        for key in ("np", "budget"):
+            if key not in top:
+                raise ConfigError(
+                    f"missing required key {key!r} (no preset supplies it)")
+        if not blocks:
             raise ConfigError("no [solver] blocks and no preset roster")
-        solvers = spec.roster(population)
-
+    elif preset not in PRESETS:
+        line = top["preset"][1]
+        raise ConfigError(f"line {line}: {_unknown_preset(preset)}")
     try:
-        return RunConfig(problem=problem_name, budget=budget, solvers=solvers,
-                         population_size=population, **kwargs)
+        if preset is None:
+            return RunConfig(**fields)
+        return preset_config(preset, **fields)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -336,20 +316,13 @@ def _solver_from_block(index: int, block: dict) -> SolverConfig:
     if "kind" not in block:
         raise ConfigError(
             f"[solver] block {index + 1}: missing required key 'kind'")
-    kind, kind_line = block["kind"]
-    kwargs: dict = {}
-    if "size" in block:
-        kwargs["size_param"] = _parse_int(block["size"], "size")
-    if "omega" in block:
-        kwargs["weight"] = _parse_float(block["omega"], "omega")
-    if "priority" in block:
-        kwargs["priority"] = _parse_int(block["priority"], "priority")
-    label = block["label"][0] if "label" in block \
-        else f"{kind.lower()}-{index + 1}"
+    fields = _fields(block, _SOLVER_KEYS)
+    fields.setdefault("instance_label",
+                      f"{fields['kind'].lower()}-{index + 1}")
     try:
-        return SolverConfig(kind, instance_label=label, **kwargs)
+        return SolverConfig(**fields)
     except ValueError as exc:
-        raise ConfigError(f"line {kind_line}: {exc}") from None
+        raise ConfigError(f"line {block['kind'][1]}: {exc}") from None
 
 
 # ------------------------------------------------------------------ running

@@ -132,7 +132,7 @@ async def scheduler_loop(state: SchedulerState) -> Any:
     while not _exhausted(state):
         message = await state.inbox.take()
         state.msg_count += 1
-        _handle(state, message, emit, broadcasting=True)
+        _handle(state, message, emit)
         _dispatch_idle(state, emit)
     return await _shutdown(state, emit)
 
@@ -144,7 +144,7 @@ def _exhausted(state: SchedulerState) -> bool:
 
 
 def _handle(state: SchedulerState, message: Message,
-            emit: Callable[[dict], None], broadcasting: bool) -> None:
+            emit: Callable[[dict], None]) -> None:
     if message.kind is MessageKind.EVALUATEPOINT:
         state.queues.enqueue(message.content)
     elif message.kind is MessageKind.REQUESTPOINT:
@@ -163,7 +163,7 @@ def _handle(state: SchedulerState, message: Message,
             "messages": state.msg_count,
             "dispatches": state.dispatches,
         })
-        if state.sharing and broadcasting:
+        if state.sharing:
             _broadcast(state, evaluation, emit)
     else:
         raise RuntimeError(f"scheduler cannot handle {message.kind}")
@@ -215,6 +215,16 @@ def _refuse(state: SchedulerState, request: EvaluationRequest,
     emit({"event": "refusal", "solver": request.solver_id})
 
 
+def _settle(state: SchedulerState, message: Message,
+            emit: Callable[[dict], None]) -> None:
+    """Count a message taken during shutdown; refuse it if it asks for work."""
+    state.msg_count += 1
+    if message.kind is MessageKind.EVALUATEPOINT:
+        _refuse(state, message.content, emit)
+    else:
+        _handle(state, message, emit)
+
+
 async def _shutdown(state: SchedulerState, emit: Callable[[dict], None]) -> Any:
     """Wind the system down and collect the final archive.
 
@@ -223,15 +233,12 @@ async def _shutdown(state: SchedulerState, emit: Callable[[dict], None]) -> Any:
     delivering both result messages, and the analysis mailbox is FIFO, so
     the later RETRIEVEBEST cannot overtake any result).  Only then refuse
     pending requests, close the solver/evaluator channels, and query the
-    archive.
+    archive.  Improvements that arrive after the budget is spent are
+    recorded but no longer broadcast.
     """
+    state.sharing = False
     while state.busy:
-        message = await state.inbox.take()
-        state.msg_count += 1
-        if message.kind is MessageKind.EVALUATEPOINT:
-            _refuse(state, message.content, emit)
-        else:
-            _handle(state, message, emit, broadcasting=False)
+        _settle(state, await state.inbox.take(), emit)
 
     for request in state.queues.drain():
         _refuse(state, request, emit)
@@ -244,11 +251,7 @@ async def _shutdown(state: SchedulerState, emit: Callable[[dict], None]) -> Any:
 
     # Anything that raced in before the close still gets an answer.
     while (message := state.inbox.take_nowait()) is not None:
-        state.msg_count += 1
-        if message.kind is MessageKind.EVALUATEPOINT:
-            _refuse(state, message.content, emit)
-        elif message.kind is MessageKind.ANALYSESOLUTION:
-            _handle(state, message, emit, broadcasting=False)
+        _settle(state, message, emit)
 
     reply = asyncio.get_running_loop().create_future()
     await state.analysis_inbox.put(

@@ -370,9 +370,7 @@ async def _integer_axis_search(obj, point: np.ndarray, dim: int,
 # ------------------------------------------------------------- DS drivers
 
 def _push_shared(starts: list, share_inbox: Mailbox) -> None:
-    while (message := share_inbox.take_nowait()) is not None:
-        if message.kind is MessageKind.SHAREBEST:
-            starts.append(np.array(message.content.point))
+    starts.extend(np.array(e.point) for e in _drain_injected(share_inbox))
 
 
 async def _next_start(starts: list, share_inbox: Mailbox) -> np.ndarray:
@@ -448,6 +446,7 @@ async def cs_run(starts: list[np.ndarray], cfg: SolverConfig, domain: Domain,
 # ------------------------------------------------------------ solver loop
 
 def _drain_injected(share_inbox: Mailbox) -> list[Evaluation]:
+    """Take every shared solution waiting in the inbox, without blocking."""
     injected = []
     while (message := share_inbox.take_nowait()) is not None:
         if message.kind is MessageKind.SHAREBEST:

@@ -191,6 +191,42 @@ def test_preset_config_overrides_replace_preset_values():
     assert [s.size_param for s in sized.solvers[:6]] == [12, 30, 3, 12, 6, 30]
     with pytest.raises(ValueError, match="unknown preset"):
         preset_config("no-such-protocol", "sphere-3")
+    with pytest.raises(ValueError, match="must be >= 1"):
+        preset_config("hen-protocol", "sphere-3", population_size=0)
+
+
+@pytest.mark.parametrize("preset, problem", [
+    ("hen-protocol", "rastrigin-10"),
+    ("mutas-protocol", "biobj-quadratic-5"),
+])
+def test_preset_file_equals_preset_config_with_same_overrides(
+        tmp_path, preset, problem):
+    head = [f"problem = {problem}", f"preset = {preset}", "np = 4",
+            "budget = evaluations:300", "seed = 3"]
+    sized = load_config(write(tmp_path, "\n".join(head), "sized.cfg"))
+    assert sized == preset_config(preset, problem, population_size=4,
+                                  budget=Budget.evaluations(300), seed=3)
+
+    roster = load_config(write(tmp_path, "\n".join(head + [
+        "[solver]", "kind = SD", "omega = 0.3", "priority = 2",
+        "[solver]", "kind = GA", "size = 6", "label = ga-own",
+    ]), "roster.cfg"))
+    solvers = (SolverConfig("SD", priority=2, weight=0.3,
+                            instance_label="sd-1"),
+               SolverConfig("GA", 6, instance_label="ga-own"))
+    assert roster == preset_config(preset, problem, population_size=4,
+                                   budget=Budget.evaluations(300), seed=3,
+                                   solvers=solvers)
+
+
+@pytest.mark.parametrize("text, fragment", [
+    ("problem = sphere-3\npreset = hen-protocol\nbudget = messages:-5",
+     "line 3: budget limit must be >= 0"),
+    ("problem = sphere-3\npreset = hen-protocol\nnp = 0", "must be >= 1"),
+])
+def test_preset_file_rejects_out_of_range_values(tmp_path, text, fragment):
+    with pytest.raises(ConfigError, match=fragment):
+        load_config(write(tmp_path, text))
 
 
 # ------------------------------------------------------------------ running
