@@ -2,36 +2,80 @@
 
 Every completed evaluation passes through here.  In single-objective mode
 the archive keeps the one best evaluation under `better`; in multi-objective
-mode it keeps the mutually non-dominated set.  Improvements are forwarded to
-the scheduler (which relays them to solvers when sharing is on) and recorded
-in an append-only history.  A run's ``trace.csv`` is written from the
-scheduler's improvement events, not from this history.
+mode it keeps the mutually non-dominated set of a two-objective problem.
+Improvements are forwarded to the scheduler (which relays them to solvers
+when sharing is on) and recorded in an append-only history.  A run's
+``trace.csv`` is written from the scheduler's improvement events, not from
+this history.
+
+The feasible front is indexed as a staircase (z1 ascending, z2 strictly
+decreasing; Kung, Luccio & Preparata, JACM 1975), so an insert costs a
+bisection plus the members it evicts, not a scan of the front.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional
 
-from coopt.core import Evaluation, better, dominates
+from coopt.core import Evaluation, better, pareto_key
 from coopt.messaging import Mailbox, MailboxClosed, Message, MessageKind
 
 SINGLE = "single"
 MULTI = "multi"
 
 
+class _Staircase:
+    """The feasible front sorted by z1 ascending, z2 strictly decreasing."""
+
+    def __init__(self, members):
+        self.members = sorted(members, key=pareto_key)
+        self.z1 = [pareto_key(m)[0] for m in self.members]
+        self.z2 = [pareto_key(m)[1] for m in self.members]
+
+    def insert(self, evaluation: Evaluation) -> Optional[list[Evaluation]]:
+        """Add a feasible point; the members it evicts, or None if refused.
+
+        Refused when a member weakly dominates it: the last member with a
+        smaller z1, or one with an equal z1, has z2 at or below its own
+        (an equal point is a duplicate; the first arrival is kept).
+        Otherwise it evicts the run of members from its place on whose z2
+        is at or above its own.
+        """
+        a, b = pareto_key(evaluation)
+        z1, z2 = self.z1, self.z2
+        i = bisect_left(z1, a)
+        if (i and z2[i - 1] <= b) or (
+                i < len(z1) and z1[i] == a and z2[i] <= b):
+            return None
+        j = i
+        while j < len(z2) and z2[j] >= b:
+            j += 1
+        evicted = self.members[i:j]
+        self.members[i:j] = [evaluation]
+        z1[i:j] = [a]
+        z2[i:j] = [b]
+        return evicted
+
+
 @dataclass
 class Archive:
     """Best-so-far record: one evaluation (single) or a front (multi).
 
-    ``history`` holds one ``(seq, evaluation, solver_id)`` per improvement,
-    in arrival order.
+    ``front`` is in arrival order, which ``archive.csv`` and the front
+    metrics read.  ``history`` holds one ``(seq, evaluation, solver_id)``
+    per improvement, in arrival order.
     """
 
     mode: str
     best: Optional[Evaluation] = None
     front: list[Evaluation] = field(default_factory=list)
     history: list[tuple] = field(default_factory=list)
+    # Index of the feasible members of ``front``, built on the first
+    # update: a front handed in (``coopt report``) may never be updated.
+    _stairs: Optional[_Staircase] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in (SINGLE, MULTI):
@@ -56,27 +100,50 @@ class Archive:
 def update_archive(archive: Archive, evaluation: Evaluation) -> bool:
     """Fold one evaluation into the archive; True iff it improved it.
 
-    Multi-objective insertions evict every member the newcomer dominates.
-    A newcomer with objectives identical to a surviving member is not an
-    improvement (first arrival kept), so a snapshot depends only on the
-    arrival order.
+    Multi-objective insertions evict every member the newcomer dominates
+    and append it to ``front``.  A newcomer with objectives identical to a
+    surviving member is not an improvement (first arrival kept), so a
+    snapshot depends only on the arrival order.  Infeasible and failed
+    newcomers are refused once a feasible member exists; until then the
+    front holds the members with the smallest constraint measure and
+    distinct objectives.  Multi-objective evaluations with other than 1 or
+    2 objectives raise ValueError.
     """
     if archive.mode == SINGLE:
         if archive.best is not None and not better(evaluation, archive.best):
             return False
         archive.best = evaluation
-    else:
-        for member in archive.front:
-            if dominates(member, evaluation):
-                return False
-            if member.objectives == evaluation.objectives \
-                    and not dominates(evaluation, member):
-                return False
-        archive.front = [m for m in archive.front
-                         if not dominates(evaluation, m)]
-        archive.front.append(evaluation)
+    elif not _insert_into_front(archive, evaluation):
+        return False
     archive.history.append(
         (evaluation.seq, evaluation, evaluation.solver_id))
+    return True
+
+
+def _insert_into_front(archive: Archive, evaluation: Evaluation) -> bool:
+    pareto_key(evaluation)  # the objective-count check, for every newcomer
+    if archive._stairs is None:
+        archive._stairs = _Staircase(m for m in archive.front if m.feasible)
+    stairs = archive._stairs
+    if evaluation.feasible:
+        if not stairs.members:  # the first feasible point clears the front
+            archive.front = []
+        evicted = stairs.insert(evaluation)
+        if evicted is None:
+            return False
+        if evicted:
+            gone = {id(m) for m in evicted}
+            archive.front = [m for m in archive.front if id(m) not in gone]
+    elif stairs.members:
+        return False
+    elif archive.front:
+        g = archive.front[0].constraint  # the members share one g
+        if evaluation.constraint > g or (evaluation.constraint == g and any(
+                m.objectives == evaluation.objectives for m in archive.front)):
+            return False
+        if evaluation.constraint < g:
+            archive.front = []
+    archive.front.append(evaluation)
     return True
 
 

@@ -227,3 +227,23 @@ def dominates(a: Evaluation, b: Evaluation) -> bool:
     if b.feasible:
         return False
     return a.constraint < b.constraint
+
+
+def pareto_key(evaluation: Evaluation) -> tuple[float, float]:
+    """The (z1, z2) under which feasible points are compared in 2-D.
+
+    Multi-objective mode is two-dimensional: every multi-objective problem
+    has two objectives.  Ordered by this key, a point ``q`` placed before
+    ``p`` has ``q.z1 <= p.z1``, so ``q`` weakly dominates ``p`` iff
+    ``q.z2 <= p.z2``, and strictly dominates it iff ``(q.z2, q.z1) <
+    (p.z2, p.z1)``.  The archive's staircase and the non-dominated layers
+    of ``assign_fitness`` both rest on this.  One objective ``z`` counts as
+    ``(z, z)``, which makes the rule `better`'s.  Any other objective count
+    is a ValueError.
+    """
+    z = evaluation.objectives
+    if len(z) == 2:
+        return z
+    if len(z) == 1:
+        return (z[0], z[0])
+    raise ValueError(f"expected 1 or 2 objectives, got {len(z)}")

@@ -65,6 +65,12 @@ class ConfigError(ValueError):
     """A config file failed validation; the message cites the line."""
 
 
+def _check_np(population_size: int) -> int:
+    if population_size < 1:
+        raise ValueError("np (population size) must be >= 1")
+    return population_size
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything one experiment needs: problem, budget, roster, seeds."""
@@ -82,8 +88,7 @@ class RunConfig:
     def __post_init__(self):
         if not self.solvers:
             raise ValueError("at least one solver is required")
-        if self.population_size < 1:
-            raise ValueError("np (population size) must be >= 1")
+        _check_np(self.population_size)
         if self.n_evaluators < 1:
             raise ValueError("n_evaluators must be >= 1")
         if self.seed < 0:
@@ -191,8 +196,7 @@ def preset_config(preset: str, problem: str, **overrides) -> RunConfig:
         raise ValueError(_unknown_preset(preset))
     spec = PRESETS[preset]
     ps = overrides.pop("population_size", None)
-    if ps is None:
-        ps = spec.population_size(problem_obj)
+    ps = spec.population_size(problem_obj) if ps is None else _check_np(ps)
     fields = {"budget": spec.budget, "solvers": spec.roster(ps), **overrides}
     return RunConfig(problem=problem, population_size=ps, **fields)
 
@@ -212,6 +216,14 @@ def _budget(value: str) -> Budget:
         raise ConfigError(exc) from None
 
 
+def _np(value: str) -> int:
+    population_size = int(value)
+    try:
+        return _check_np(population_size)
+    except ValueError as exc:  # an integer, but out of range
+        raise ConfigError(exc) from None
+
+
 # Config key -> (field it sets, parser, what a value the parser rejects
 # "must" do, for the error message).
 _TOP_KEYS = {
@@ -219,7 +231,7 @@ _TOP_KEYS = {
     "preset": ("preset", str, ""),
     "budget": ("budget", _budget,
                "look like messages:60000 or evaluations:1000"),
-    "np": ("population_size", int, "be an integer"),
+    "np": ("population_size", _np, "be an integer"),
     "n_evaluators": ("n_evaluators", int, "be an integer"),
     "sharing": ("sharing", _bool, "be true or false"),
     "seed": ("seed", int, "be an integer"),

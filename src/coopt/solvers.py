@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import asyncio
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from coopt.core import Domain, Evaluation, better, dominates, freeze_point
+from coopt.core import (Domain, Evaluation, better, dominates, freeze_point,
+                        pareto_key)
 from coopt.messaging import Mailbox, MailboxClosed, Message, MessageKind
 from coopt.scheduler import EvaluationRequest
 
@@ -109,8 +111,8 @@ def assign_fitness(members: list[Evaluation]) -> np.ndarray:
 
     Single objective: feasible members outrank infeasible ones, feasible
     sorted by objective, infeasible by constraint measure, ties kept in
-    arrival order.  Multi-objective: non-dominated sorting layers, arrival
-    order within a layer.
+    arrival order.  Two objectives: non-dominated sorting layers, arrival
+    order within a layer.  Other objective counts raise ValueError.
     """
     if not members:
         raise ValueError("empty population")
@@ -122,20 +124,39 @@ def assign_fitness(members: list[Evaluation]) -> np.ndarray:
             else members[i].constraint,
             i))
     else:
-        order = []
-        remaining = list(range(n))
-        while remaining:
-            layer = [i for i in remaining
-                     if not any(dominates(members[j], members[i])
-                                for j in remaining if j != i)]
-            if not layer:  # mutually "dominating" duplicates cannot occur,
-                layer = list(remaining)  # but never loop forever
-            order.extend(layer)
-            remaining = [i for i in remaining if i not in layer]
+        order = _layer_order(members)
     fitness = np.empty(n)
     for rank, i in enumerate(order, start=1):
         fitness[i] = (n - rank + 1) / (n + 1)
     return fitness
+
+
+def _layer_order(members: list[Evaluation]) -> list[int]:
+    """Member indices layer by layer, arrival order within a layer.
+
+    Feasible members are placed in (z1, z2) order, each into the first
+    layer whose last member does not dominate it (Jensen, IEEE TEC 2003):
+    the layers' last keys ``(z2, z1)`` stay sorted, so a bisection finds
+    it, in O(n log n) overall.  Every feasible layer precedes the
+    infeasible members, which form one layer per distinct constraint
+    measure, smallest first.
+    """
+    keys = [pareto_key(m) for m in members]
+    feasible = [i for i, m in enumerate(members) if m.feasible]
+    infeasible = [i for i, m in enumerate(members) if not m.feasible]
+    layer = {}
+    lasts: list[tuple[float, float]] = []
+    for i in sorted(feasible, key=keys.__getitem__):
+        z1, z2 = keys[i]
+        k = bisect_left(lasts, (z2, z1))
+        if k == len(lasts):
+            lasts.append((z2, z1))
+        else:
+            lasts[k] = (z2, z1)
+        layer[i] = k
+    feasible.sort(key=layer.__getitem__)
+    infeasible.sort(key=lambda i: members[i].constraint)
+    return feasible + infeasible
 
 
 def _best_index(fitness: np.ndarray) -> int:

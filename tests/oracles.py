@@ -42,6 +42,23 @@ def brute_force_front(evaluations):
     return survivors
 
 
+def peel_layers(members):
+    """Non-dominated layers by repeated peeling, O(n^3).
+
+    Each layer is the list of indices of the remaining members that no
+    other remaining member dominates, in arrival order.
+    """
+    layers = []
+    remaining = list(range(len(members)))
+    while remaining:
+        layer = [i for i in remaining
+                 if not any(dominates(members[j], members[i])
+                            for j in remaining if j != i)]
+        layers.append(layer)
+        remaining = [i for i in remaining if i not in layer]
+    return layers
+
+
 def brute_force_front_2d(objective_rows, chunk=2048):
     """Vectorized pairwise dominance filter for feasible 2-D streams.
 

@@ -191,7 +191,7 @@ def test_preset_config_overrides_replace_preset_values():
     assert [s.size_param for s in sized.solvers[:6]] == [12, 30, 3, 12, 6, 30]
     with pytest.raises(ValueError, match="unknown preset"):
         preset_config("no-such-protocol", "sphere-3")
-    with pytest.raises(ValueError, match="must be >= 1"):
+    with pytest.raises(ValueError, match=r"^np \(population size\) must"):
         preset_config("hen-protocol", "sphere-3", population_size=0)
 
 
@@ -222,7 +222,10 @@ def test_preset_file_equals_preset_config_with_same_overrides(
 @pytest.mark.parametrize("text, fragment", [
     ("problem = sphere-3\npreset = hen-protocol\nbudget = messages:-5",
      "line 3: budget limit must be >= 0"),
-    ("problem = sphere-3\npreset = hen-protocol\nnp = 0", "must be >= 1"),
+    ("problem = sphere-3\npreset = hen-protocol\nnp = 0",
+     r"line 3: np \(population size\) must be >= 1"),
+    ("problem = sphere-3\nnp = -2\nbudget = evaluations:10\n[solver]\n"
+     "kind = SD", r"line 2: np \(population size\) must be >= 1"),
 ])
 def test_preset_file_rejects_out_of_range_values(tmp_path, text, fragment):
     with pytest.raises(ConfigError, match=fragment):

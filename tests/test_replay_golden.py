@@ -1,8 +1,11 @@
 """Golden replay: fixed configs must keep writing the same bytes.
 
 Each case runs one repetition with seed 5 and 3 evaluators and hashes
-trace.csv + archive.csv + events.log with SHA-256.  The hashes were recorded
-before the reply-future / preset-table refactor and still hold after it; a
+trace.csv + archive.csv + events.log with SHA-256.  The first six hashes
+were recorded before the reply-future / preset-table refactor, the
+false-readings-analogue ones before the 2-D staircase archive and layers;
+all still hold.  That problem's second objective is built from floored
+counts, so its fronts and fitness layers are full of equal-z2 ties.  A
 change that alters any message, its order, or the written outputs breaks
 them.  A change that alters outputs on purpose must say why and record the
 new hashes.
@@ -29,6 +32,10 @@ GOLDEN = {
         "8601fef4cd0bed1dbef6813cfd7d80fc8e74723986434bfb1d319624f2fe45fe",
     ("hen-protocol", "constrained-sphere-10", 6_000, True):
         "f54b74678c8d4a2a3e614b067a7ce98ddf89d55acb54bb6c4b21c3df9e5e35f3",
+    ("mutas-protocol", "false-readings-analogue", None, False):
+        "92835ef2bf4923f6969b8eb4e707365fe566039cb326bc61e71cf97df3f186e9",
+    ("mutas-protocol", "false-readings-analogue", None, True):
+        "dd7e3fff1b08d0cc9e38eb21c395a68142e401b2bc557b749fe76f31186ac6a9",
 }
 
 
