@@ -183,7 +183,7 @@ def full_run():
     print(f"best of the run: f = {best.objectives[0]:.6f} at "
           f"{np.round(best.point, 4).tolist()} (found by {best.solver_id})")
     print("improvement history:",
-          [f"{e.objectives[0]:.3f}" for _, e, _ in archive.history])
+          [f"{e['z'][0]:.3f}" for e in events if e["event"] == "improvement"])
 
     print("\nper-mailbox ledger (puts == takes + drops + queued):")
     for mb in mailboxes:

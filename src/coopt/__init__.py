@@ -5,7 +5,6 @@ from coopt.core import (
     Evaluation,
     Problem,
     VarKind,
-    better,
     dominates,
     evaluate_model,
 )
@@ -15,7 +14,6 @@ __all__ = [
     "Evaluation",
     "Problem",
     "VarKind",
-    "better",
     "dominates",
     "evaluate_model",
 ]

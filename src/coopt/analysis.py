@@ -1,12 +1,12 @@
 """Analysis agent: incumbent best / non-dominated archive maintenance.
 
 Every completed evaluation passes through here.  In single-objective mode
-the archive keeps the one best evaluation under `better`; in multi-objective
-mode it keeps the mutually non-dominated set of a two-objective problem.
-Improvements are forwarded to the scheduler (which relays them to solvers
-when sharing is on) and recorded in an append-only history.  A run's
-``trace.csv`` is written from the scheduler's improvement events, not from
-this history.
+the archive keeps the one best evaluation, replaced only by a newcomer that
+`dominates` it; in multi-objective mode it keeps the mutually non-dominated
+set of a two-objective problem.  Both modes compare under that one rule.
+Improvements are forwarded to the scheduler, which records them
+(``trace.csv`` is written from its improvement events) and relays them to
+solvers when sharing is on.
 
 The feasible front is indexed as a staircase (z1 ascending, z2 strictly
 decreasing; Kung, Luccio & Preparata, JACM 1975), so an insert costs a
@@ -19,7 +19,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional
 
-from coopt.core import Evaluation, better, pareto_key
+from coopt.core import Evaluation, dominates, pareto_key
 from coopt.messaging import Mailbox, MailboxClosed, Message, MessageKind
 
 SINGLE = "single"
@@ -64,14 +64,12 @@ class Archive:
     """Best-so-far record: one evaluation (single) or a front (multi).
 
     ``front`` is in arrival order, which ``archive.csv`` and the front
-    metrics read.  ``history`` holds one ``(seq, evaluation, solver_id)``
-    per improvement, in arrival order.
+    metrics read.
     """
 
     mode: str
     best: Optional[Evaluation] = None
     front: list[Evaluation] = field(default_factory=list)
-    history: list[tuple] = field(default_factory=list)
     # Index of the feasible members of ``front``, built on the first
     # update: a front handed in (``coopt report``) may never be updated.
     _stairs: Optional[_Staircase] = field(
@@ -83,8 +81,7 @@ class Archive:
 
     def __repr__(self) -> str:
         # Short on purpose: asyncio.run reprs the main task's result on exit.
-        return (f"<Archive {self.mode}: {len(self.members())} members, "
-                f"{len(self.history)} improvements>")
+        return f"<Archive {self.mode}: {len(self.members())} members>"
 
     def members(self) -> list[Evaluation]:
         if self.mode == SINGLE:
@@ -93,13 +90,13 @@ class Archive:
 
     def snapshot(self) -> "Archive":
         """Immutable-enough copy safe to hand to another task."""
-        return Archive(self.mode, self.best, list(self.front),
-                       list(self.history))
+        return Archive(self.mode, self.best, list(self.front))
 
 
 def update_archive(archive: Archive, evaluation: Evaluation) -> bool:
     """Fold one evaluation into the archive; True iff it improved it.
 
+    A single-objective newcomer replaces ``best`` iff it dominates it.
     Multi-objective insertions evict every member the newcomer dominates
     and append it to ``front``.  A newcomer with objectives identical to a
     surviving member is not an improvement (first arrival kept), so a
@@ -109,14 +106,11 @@ def update_archive(archive: Archive, evaluation: Evaluation) -> bool:
     distinct objectives.  Multi-objective evaluations with other than 1 or
     2 objectives raise ValueError.
     """
-    if archive.mode == SINGLE:
-        if archive.best is not None and not better(evaluation, archive.best):
-            return False
-        archive.best = evaluation
-    elif not _insert_into_front(archive, evaluation):
+    if archive.mode == MULTI:
+        return _insert_into_front(archive, evaluation)
+    if archive.best is not None and not dominates(evaluation, archive.best):
         return False
-    archive.history.append(
-        (evaluation.seq, evaluation, evaluation.solver_id))
+    archive.best = evaluation
     return True
 
 

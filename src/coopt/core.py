@@ -4,13 +4,13 @@ A problem is a black box: given a point in a bounded (possibly mixed
 real/integer) search domain it returns a vector of objective values and a
 single scalar infeasibility measure.  A point is feasible when that measure
 is <= 0.  Everything downstream (solvers, the archive, the scheduler) relies
-only on the comparison rules defined here.
+only on the comparison rule defined here, `dominates`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
@@ -34,11 +34,14 @@ class Domain:
         Per-dimension bounds, lower <= upper.
     kinds : sequence of VarKind, optional
         Defaults to all-REAL.  Integer dimensions must have integer bounds.
+
+    ``integer_mask`` (read-only) marks the INTEGER dimensions.
     """
 
     lower: np.ndarray
     upper: np.ndarray
     kinds: tuple[VarKind, ...] = ()
+    integer_mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lower = np.asarray(self.lower, dtype=float)
@@ -53,11 +56,13 @@ class Domain:
         for lo, hi, kind in zip(lower, upper, kinds):
             if kind is VarKind.INTEGER and (lo != round(lo) or hi != round(hi)):
                 raise ValueError("integer dimension with non-integer bounds")
-        lower.setflags(write=False)
-        upper.setflags(write=False)
+        mask = np.array([k is VarKind.INTEGER for k in kinds], dtype=bool)
+        for array in (lower, upper, mask):
+            array.setflags(write=False)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "kinds", tuple(kinds))
+        object.__setattr__(self, "integer_mask", mask)
 
     @property
     def size(self) -> int:
@@ -66,10 +71,6 @@ class Domain:
     @property
     def ranges(self) -> np.ndarray:
         return self.upper - self.lower
-
-    @property
-    def integer_mask(self) -> np.ndarray:
-        return np.array([k is VarKind.INTEGER for k in self.kinds])
 
     def clip(self, values: np.ndarray) -> np.ndarray:
         """Project onto the box and re-round integer dimensions."""
@@ -187,28 +188,14 @@ def _failed_evaluation(problem, point, solver_id, seq) -> Evaluation:
     return Evaluation(point, z, INFEASIBLE_SENTINEL, solver_id, seq)
 
 
-def better(a: Evaluation, b: Evaluation) -> bool:
-    """Strict single-objective ordering: does ``a`` precede ``b``?
-
-    Feasible beats infeasible; among feasible the smaller objective wins;
-    among infeasible the smaller constraint measure wins.  Exact ties are
-    not "better" (callers keep the earlier arrival).
-    """
-    if a.feasible:
-        if not b.feasible:
-            return True
-        return a.objectives[0] < b.objectives[0]
-    if b.feasible:
-        return False
-    return a.constraint < b.constraint
-
-
 def dominates(a: Evaluation, b: Evaluation) -> bool:
-    """Multi-objective dominance (minimization) with feasibility layering.
+    """Constrained dominance (minimization): the one comparison rule.
 
     Both feasible: componentwise <= with at least one strict <.  A feasible
     point dominates any infeasible one.  Both infeasible: smaller constraint
-    measure dominates.
+    measure dominates.  With one objective this is a strict weak order
+    (feasible first, then smaller z, then smaller g); an exact tie is not
+    domination, so callers keep the earlier arrival.
     """
     if len(a.objectives) != len(b.objectives):
         raise ValueError(
@@ -238,8 +225,8 @@ def pareto_key(evaluation: Evaluation) -> tuple[float, float]:
     ``q.z2 <= p.z2``, and strictly dominates it iff ``(q.z2, q.z1) <
     (p.z2, p.z1)``.  The archive's staircase and the non-dominated layers
     of ``assign_fitness`` both rest on this.  One objective ``z`` counts as
-    ``(z, z)``, which makes the rule `better`'s.  Any other objective count
-    is a ValueError.
+    ``(z, z)``: the same order by z, and the layers of ``assign_fitness``
+    become one per distinct z.  Any other objective count is a ValueError.
     """
     z = evaluation.objectives
     if len(z) == 2:

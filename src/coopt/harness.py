@@ -441,13 +441,7 @@ def run_once(cfg: RunConfig, rep_index: int) -> RunReport:
         report.error = "; ".join(
             f"{type(e).__name__}: {e}" for e in errors)
     report.archive = snapshot
-    report.counters = {
-        "messages": state.msg_count,
-        "dispatches": state.dispatches,
-        "broadcasts": state.broadcasts,
-        "refusals": state.refusals,
-        "improvements": state.improvements,
-    }
+    report.counters = state.counters()
     report.trace = [
         {
             "seq": e["seq"],
@@ -572,9 +566,11 @@ def write_run_dir(run_dir, report: RunReport) -> Path:
     write_trace_csv(run_dir / "trace.csv", report)
     write_archive_csv(run_dir / "archive.csv", report)
     write_events_log(run_dir / "events.log", report.events)
-    with open(run_dir / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(report_summary(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # One line: ``indent`` would force the pure-Python encoder, which costs
+    # several times as much on a large front.
+    (run_dir / "report.json").write_text(
+        json.dumps(report_summary(report), sort_keys=True) + "\n",
+        encoding="utf-8")
     return run_dir
 
 

@@ -119,6 +119,16 @@ class SchedulerState:
     refusals: int = 0
     improvements: int = 0
 
+    def counters(self) -> dict:
+        """The run's totals, as ``report.counters`` and the last event."""
+        return {
+            "messages": self.msg_count,
+            "dispatches": self.dispatches,
+            "broadcasts": self.broadcasts,
+            "refusals": self.refusals,
+            "improvements": self.improvements,
+        }
+
 
 async def scheduler_loop(state: SchedulerState) -> Any:
     """Run the dispatch loop to budget exhaustion; return the final archive.
@@ -258,12 +268,5 @@ async def _shutdown(state: SchedulerState, emit: Callable[[dict], None]) -> Any:
         Message(MessageKind.RETRIEVEBEST, "scheduler", reply))
     snapshot = await reply
     state.analysis_inbox.close()
-    emit({
-        "event": "terminated",
-        "messages": state.msg_count,
-        "dispatches": state.dispatches,
-        "broadcasts": state.broadcasts,
-        "refusals": state.refusals,
-        "improvements": state.improvements,
-    })
+    emit({"event": "terminated", **state.counters()})
     return snapshot

@@ -24,8 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from coopt.core import (Domain, Evaluation, better, dominates, freeze_point,
-                        pareto_key)
+from coopt.core import Domain, Evaluation, dominates, freeze_point, pareto_key
 from coopt.messaging import Mailbox, MailboxClosed, Message, MessageKind
 from coopt.scheduler import EvaluationRequest
 
@@ -109,24 +108,17 @@ async def proxy_objective(point: np.ndarray, solver_id: str,
 def assign_fitness(members: list[Evaluation]) -> np.ndarray:
     """Rank-based fitness in (0, 1): fitness = (N - rank + 1) / (N + 1).
 
-    Single objective: feasible members outrank infeasible ones, feasible
-    sorted by objective, infeasible by constraint measure, ties kept in
-    arrival order.  Two objectives: non-dominated sorting layers, arrival
-    order within a layer.  Other objective counts raise ValueError.
+    Members are ranked by non-dominated sorting layers, arrival order
+    within a layer.  With one objective a layer is one distinct objective
+    value (feasible) or constraint measure (infeasible), so the ranking is
+    feasible by objective, then infeasible by constraint measure.  Any
+    other objective count than 1 or 2 raises ValueError.
     """
     if not members:
         raise ValueError("empty population")
     n = len(members)
-    if len(members[0].objectives) == 1:
-        order = sorted(range(n), key=lambda i: (
-            0 if members[i].feasible else 1,
-            members[i].objectives[0] if members[i].feasible
-            else members[i].constraint,
-            i))
-    else:
-        order = _layer_order(members)
     fitness = np.empty(n)
-    for rank, i in enumerate(order, start=1):
+    for rank, i in enumerate(_layer_order(members), start=1):
         fitness[i] = (n - rank + 1) / (n + 1)
     return fitness
 
@@ -134,12 +126,13 @@ def assign_fitness(members: list[Evaluation]) -> np.ndarray:
 def _layer_order(members: list[Evaluation]) -> list[int]:
     """Member indices layer by layer, arrival order within a layer.
 
-    Feasible members are placed in (z1, z2) order, each into the first
-    layer whose last member does not dominate it (Jensen, IEEE TEC 2003):
-    the layers' last keys ``(z2, z1)`` stay sorted, so a bisection finds
-    it, in O(n log n) overall.  Every feasible layer precedes the
-    infeasible members, which form one layer per distinct constraint
-    measure, smallest first.
+    Feasible members are placed in ``pareto_key`` order, each into the
+    first layer whose last member does not dominate it (Jensen, IEEE TEC
+    2003): the layers' last keys ``(z2, z1)`` stay sorted, so a bisection
+    finds it, in O(n log n) overall.  A one-objective key ``(z, z)`` gives
+    one layer per distinct z, in ascending order.  Every feasible layer
+    precedes the infeasible members, which form one layer per distinct
+    constraint measure, smallest first.
     """
     keys = [pareto_key(m) for m in members]
     feasible = [i for i, m in enumerate(members) if m.feasible]
@@ -235,12 +228,6 @@ class SwarmMember:
     personal_best: Evaluation
 
 
-def _improves(candidate: Evaluation, incumbent: Evaluation) -> bool:
-    if len(candidate.objectives) == 1:
-        return better(candidate, incumbent)
-    return dominates(candidate, incumbent)
-
-
 async def pso_step(swarm: list[SwarmMember], cfg: SolverConfig,
                    domain: Domain, rng: np.random.Generator,
                    evaluate, injected: list[Evaluation]) -> list[SwarmMember]:
@@ -267,7 +254,7 @@ async def pso_step(swarm: list[SwarmMember], cfg: SolverConfig,
         member.velocity = np.clip(velocity, -clamp, clamp)
         member.position = domain.clip(member.position + member.velocity)
         member.evaluation = await evaluate(member.position)
-        if _improves(member.evaluation, member.personal_best):
+        if dominates(member.evaluation, member.personal_best):
             member.personal_best = member.evaluation
     return swarm
 
@@ -494,7 +481,7 @@ async def solver_loop(cfg: SolverConfig, domain: Domain,
         evaluation = await proxy_objective(
             point, cfg.label, scheduler_inbox, cfg.priority)
         if len(evaluation.objectives) == 1 and not evaluation.failed:
-            if local_best is None or better(evaluation, local_best):
+            if local_best is None or dominates(evaluation, local_best):
                 local_best = evaluation
                 emit({
                     "event": "solver-improvement",

@@ -73,11 +73,11 @@ def test_feasible_point_evicts_infeasible_members():
     assert all(e.feasible for e in a.front)
 
 
-def test_history_grows_once_per_improvement():
+def test_update_is_true_once_per_improvement():
     a = Archive(SINGLE)
-    for z in (5.0, 4.0, 4.5, 3.0):
-        update_archive(a, ev(z))
-    assert [h[1].objectives[0] for h in a.history] == [5.0, 4.0, 3.0]
+    improved = [update_archive(a, ev(z)) for z in (5.0, 4.0, 4.5, 3.0, 3.0)]
+    assert improved == [True, True, False, True, False]
+    assert a.best.objectives == (3.0,)
 
 
 def test_multi_archive_matches_brute_force_filter():
@@ -157,14 +157,12 @@ def test_snapshot_is_independent_copy():
     snap = a.snapshot()
     update_archive(a, ev(1.0))
     assert snap.best.objectives == (2.0,)
-    assert len(snap.history) == 1
 
 
 def test_large_archive_repr_is_short():
     # asyncio.run reprs the run's result on exit; a 5k-member front must
     # not be rendered member by member.
     front = [ev((float(i), float(5_000 - i)), seq=i) for i in range(5_000)]
-    a = Archive(MULTI, front=front,
-                history=[(e.seq, e, e.solver_id) for e in front])
+    a = Archive(MULTI, front=front)
     assert len(repr(a)) < 200
     assert len(repr(a.snapshot())) < 200

@@ -10,7 +10,6 @@ from coopt.core import (
     Evaluation,
     Problem,
     VarKind,
-    better,
     dominates,
     evaluate_model,
     freeze_point,
@@ -133,24 +132,28 @@ def test_evaluation_point_is_frozen():
         e.point[0] = 9.0
 
 
-# ------------------------------------------------------------- ordering
+# -------------------------------------------- one objective: better-than
+# With one objective, dominance is the feasibility rule: feasible first,
+# then the smaller objective, among infeasible the smaller constraint.
 
 def test_better_smaller_objective():
-    assert better(ev(4.0), ev(5.0))
-    assert not better(ev(5.0), ev(4.0))
+    assert dominates(ev(4.0), ev(5.0))
+    assert not dominates(ev(5.0), ev(4.0))
 
 
 def test_better_feasibility_first():
-    assert better(ev(9.0, g=-1.0), ev(0.0, g=2.0))
+    assert dominates(ev(9.0, g=-1.0), ev(0.0, g=2.0))
+    assert not dominates(ev(0.0, g=2.0), ev(9.0, g=-1.0))
 
 
 def test_better_among_infeasible_by_constraint():
-    assert not better(ev(1.0, g=3.0), ev(9.0, g=1.0))
-    assert better(ev(9.0, g=1.0), ev(1.0, g=3.0))
+    assert not dominates(ev(1.0, g=3.0), ev(9.0, g=1.0))
+    assert dominates(ev(9.0, g=1.0), ev(1.0, g=3.0))
 
 
 def test_better_tie_is_not_better():
-    assert not better(ev(2.0), ev(2.0))
+    assert not dominates(ev(2.0), ev(2.0))
+    assert not dominates(ev(2.0, g=1.0), ev(5.0, g=1.0))
 
 
 def test_better_is_strict_weak_ordering():
@@ -158,13 +161,17 @@ def test_better_is_strict_weak_ordering():
     pool = [ev(float(rng.integers(0, 4)), g=float(rng.integers(-2, 3)))
             for _ in range(60)]
     for a in pool:
-        assert not better(a, a)
+        assert not dominates(a, a)
     for a in pool[:20]:
         for b in pool[:20]:
-            assert not (better(a, b) and better(b, a))
+            assert not (dominates(a, b) and dominates(b, a))
             for c in pool[:20]:
-                if better(a, b) and better(b, c):
-                    assert better(a, c)
+                if dominates(a, b) and dominates(b, c):
+                    assert dominates(a, c)
+                # incomparability is transitive too
+                if not (dominates(a, b) or dominates(b, a)
+                        or dominates(b, c) or dominates(c, b)):
+                    assert not (dominates(a, c) or dominates(c, a))
 
 
 # ------------------------------------------------------------ dominance
@@ -191,9 +198,11 @@ def test_dominates_rejects_mismatched_objective_counts():
         dominates(ev((1.0, 2.0)), ev(1.0))
 
 
-def test_dominates_irreflexive_asymmetric_transitive():
+@pytest.mark.parametrize("n_obj", [1, 2])
+def test_dominates_irreflexive_asymmetric_transitive(n_obj):
     rng = np.random.default_rng(23)
-    pool = [ev(tuple(rng.integers(0, 4, size=2).astype(float)))
+    pool = [ev(tuple(rng.integers(0, 4, size=n_obj).astype(float)),
+               g=float(rng.choice([-1.0, -1.0, 0.0, 1.0, 2.0])))
             for _ in range(40)]
     for a in pool:
         assert not dominates(a, a)

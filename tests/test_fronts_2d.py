@@ -2,7 +2,9 @@
 
 Populations and streams are drawn from a small integer grid, so exact
 duplicates, equal-z1 and equal-z2 ties, infeasible members sharing a
-constraint measure and failed evaluations are all common.
+constraint measure and failed evaluations are all common.  One-objective
+rows are the same rule's (z, z) case and are checked against the same
+oracles.
 """
 
 import math
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopt.analysis import MULTI, Archive, update_archive
+from coopt.analysis import MULTI, SINGLE, Archive, update_archive
 from coopt.core import Evaluation, freeze_point
 from coopt.solvers import assign_fitness
 from oracles import brute_force_front, peel_layers
@@ -32,11 +34,17 @@ ROWS = st.one_of(
     st.builds(lambda bad, good: bad + good,
               st.lists(st.one_of(INFEASIBLE, FAILED), max_size=15),
               st.lists(FEASIBLE, max_size=25)))
+ROW_1D = st.one_of(
+    st.builds(lambda z, g: (float(z), g), st.integers(0, 4),
+              st.sampled_from([-1.0, 0.0, 1.0, 2.0])),
+    st.just((math.inf, math.inf)))
+ROWS_1D = st.lists(ROW_1D, min_size=1, max_size=40)
 
 
 def evaluations(rows, first_seq=0):
-    return [Evaluation(freeze_point(np.zeros(1)), (z1, z2), g, "s", seq)
-            for seq, (z1, z2, g) in enumerate(rows, start=first_seq)]
+    """One evaluation per row ``(*objectives, g)``."""
+    return [Evaluation(freeze_point(np.zeros(1)), row[:-1], row[-1], "s", seq)
+            for seq, row in enumerate(rows, start=first_seq)]
 
 
 def seqs(members):
@@ -66,7 +74,17 @@ def test_prebuilt_front_takes_further_inserts(first_rows, rest_rows):
 
 
 @settings(deadline=None)
-@given(st.lists(ROW, min_size=1, max_size=40))
+@given(ROWS_1D)
+def test_single_archive_keeps_the_first_brute_force_member(rows):
+    stream = evaluations(rows)
+    archive = Archive(SINGLE)
+    for e in stream:
+        update_archive(archive, e)
+    assert archive.best is brute_force_front(stream)[0]
+
+
+@settings(deadline=None)
+@given(st.one_of(st.lists(ROW, min_size=1, max_size=40), ROWS_1D))
 def test_fitness_equals_peel_fitness(rows):
     members = evaluations(rows)
     n = len(members)
