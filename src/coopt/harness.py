@@ -530,9 +530,15 @@ def write_archive_csv(path, report: RunReport) -> None:
 
 
 def write_events_log(path, events: list[dict]) -> None:
+    """One JSON object per line, keys sorted, as ``json.dumps`` writes them.
+
+    One encoder serves every record (``json.dumps`` builds a new one per
+    call, and a hen run has ~30k events).  The lines are streamed, not
+    joined first: the joined text would add ~7 MB to a hen run's peak RSS.
+    """
+    encode = json.JSONEncoder(sort_keys=True).encode
     with open(path, "w", encoding="utf-8") as fh:
-        for record in events:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+        fh.writelines(encode(record) + "\n" for record in events)
 
 
 def report_summary(report: RunReport) -> dict:

@@ -71,7 +71,8 @@ class Mailbox:
             if len(self._items) < self.capacity:
                 self._items.append(message)
                 self.puts += 1
-                self._wake(self._getters)
+                if self._getters:
+                    self._wake(self._getters)
                 return
             await self._wait(self._putters)
 
@@ -84,7 +85,8 @@ class Mailbox:
             if self._items:
                 message = self._items.popleft()
                 self.takes += 1
-                self._wake(self._putters)
+                if self._putters:
+                    self._wake(self._putters)
                 return message
             if self._closed:
                 raise MailboxClosed(self.name)

@@ -21,23 +21,23 @@ _RIDGE_BASIN_DIM_ARGMIN = 0.000628482949510
 
 
 def _sphere(point, _params):
-    return float(np.sum(point**2)), -1.0
+    return float((point**2).sum()), -1.0
 
 
 def _constrained_sphere(point, _params):
-    return float(np.sum(point**2)), 1.0 - float(np.sum(point))
+    return float((point**2).sum()), 1.0 - float(point.sum())
 
 
 def _rosenbrock(point, _params):
     d = point
-    z = float(np.sum(100.0 * (d[1:] - d[:-1] ** 2) ** 2
-                     + (1.0 - d[:-1]) ** 2))
+    z = float((100.0 * (d[1:] - d[:-1] ** 2) ** 2
+               + (1.0 - d[:-1]) ** 2).sum())
     return z, -1.0
 
 
 def _rastrigin_value(point):
     return float(10.0 * point.size
-                 + np.sum(point**2 - 10.0 * np.cos(2.0 * np.pi * point)))
+                 + (point**2 - 10.0 * np.cos(2.0 * np.pi * point)).sum())
 
 
 def _rastrigin(point, _params):
@@ -45,17 +45,17 @@ def _rastrigin(point, _params):
 
 
 def _mixed_int_quadratic(point, targets):
-    return float(np.sum((point - targets) ** 2)), -1.0
+    return float(((point - targets) ** 2).sum()), -1.0
 
 
 def _ridge_basin(point, _params):
-    z = _rastrigin_value(point) + 0.5 * float(np.sum((point - 0.25) ** 2))
+    z = _rastrigin_value(point) + 0.5 * float(((point - 0.25) ** 2).sum())
     return z, -1.0
 
 
 def _biobj_quadratic(point, _params):
-    z1 = float(np.sum(point**2))
-    z2 = float(np.sum((point - 1.0) ** 2))
+    z1 = float((point**2).sum())
+    z2 = float(((point - 1.0) ** 2).sum())
     return (z1, z2), -1.0
 
 

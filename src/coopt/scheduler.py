@@ -12,15 +12,14 @@ from __future__ import annotations
 import asyncio
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from coopt.messaging import Mailbox, MailboxClosed, Message, MessageKind
 
 P_MAX = 10
 
 
-@dataclass(frozen=True)
-class EvaluationRequest:
+class EvaluationRequest(NamedTuple):
     """A point awaiting dispatch, with the reply future of the asking solver."""
 
     point: Any
@@ -45,8 +44,16 @@ class PriorityQueues:
             raise ValueError("p_max must be >= 1")
         self.p_max = p_max
         self._levels: list[deque] = [deque() for _ in range(p_max + 1)]
+        # Levels p_max..1, and the (level p + 1, level p) pairs that a
+        # promotion sweep visits, top down; built once, not per dispatch.
+        self._top_down = self._levels[:0:-1]
+        self._promotions = list(zip(self._top_down, self._top_down[1:]))
 
     def __len__(self) -> int:
+        """Requests queued over all levels.
+
+        The scheduler never asks; ``bench/micro.py`` and the tests do.
+        """
         return sum(len(level) for level in self._levels)
 
     def enqueue(self, request: EvaluationRequest) -> None:
@@ -56,15 +63,15 @@ class PriorityQueues:
 
     def promote(self) -> None:
         """Lift the head of each level below the top up one level."""
-        for p in range(self.p_max - 1, 0, -1):
-            if self._levels[p]:
-                self._levels[p + 1].append(self._levels[p].popleft())
+        for above, level in self._promotions:
+            if level:
+                above.append(level.popleft())
 
     def next_request(self) -> Optional[EvaluationRequest]:
         """Pop the head of the highest non-empty level, then promote."""
-        for p in range(self.p_max, 0, -1):
-            if self._levels[p]:
-                request = self._levels[p].popleft()
+        for level in self._top_down:
+            if level:
+                request = level.popleft()
                 self.promote()
                 return request
         return None

@@ -171,10 +171,11 @@ async def ga_step(members: list[Evaluation], cfg: SolverConfig,
     elite = pool[_best_index(fitness)]
     n = domain.size
     sigma = MUTATION_SIGMA_FRACTION * domain.ranges
+    fitness_values = fitness.tolist()
     children: list[Evaluation] = [elite]
     while len(children) < cfg.size_param:
-        p1 = _tournament(pool, fitness, rng)
-        p2 = _tournament(pool, fitness, rng)
+        p1 = _tournament(pool, fitness_values, rng)
+        p2 = _tournament(pool, fitness_values, rng)
         if rng.random() < CROSSOVER_RATE:
             alpha = rng.random()
             child = alpha * p1.point + (1.0 - alpha) * p2.point
@@ -187,8 +188,8 @@ async def ga_step(members: list[Evaluation], cfg: SolverConfig,
     return children
 
 
-def _tournament(pool, fitness, rng) -> Evaluation:
-    i, j = rng.integers(0, len(pool), size=2)
+def _tournament(pool, fitness: list[float], rng) -> Evaluation:
+    i, j = rng.integers(0, len(pool), size=2).tolist()
     return pool[i] if fitness[i] >= fitness[j] else pool[j]
 
 
@@ -202,7 +203,7 @@ async def ppa_step(members: list[Evaluation], cfg: SolverConfig,
     then truncated to the best 2 * cfg.size_param.
     """
     pool = members + list(injected)
-    fitness = assign_fitness(pool)
+    fitness = assign_fitness(pool).tolist()
     by_fitness = sorted(range(len(pool)), key=lambda i: -fitness[i])
     selected = [pool[i] for i in by_fitness[:cfg.size_param]]
     selected_fitness = [fitness[i] for i in by_fitness[:cfg.size_param]]
@@ -210,12 +211,12 @@ async def ppa_step(members: list[Evaluation], cfg: SolverConfig,
     for parent, f in zip(selected, selected_fitness):
         n_runners = math.ceil(f * PPA_MAX_RUNNERS)
         reach = (1.0 - f) * domain.ranges
+        low = -reach
         for _ in range(n_runners):
-            runner = domain.clip(
-                parent.point + rng.uniform(-reach, reach))
+            runner = domain.clip(parent.point + rng.uniform(low, reach))
             offspring.append(await evaluate(runner))
     combined = selected + offspring
-    combined_fitness = assign_fitness(combined)
+    combined_fitness = assign_fitness(combined).tolist()
     keep = sorted(range(len(combined)), key=lambda i: -combined_fitness[i])
     return [combined[i] for i in keep[:2 * cfg.size_param]]
 
@@ -321,15 +322,15 @@ async def line_search(obj, point: np.ndarray, direction: np.ndarray,
     """
     direction = np.asarray(direction, dtype=float)
     moving = np.abs(direction) > 0.0
-    if not np.any(moving):
+    if not moving.any():
         value = await obj(point) if f0 is None else f0
         return point, value
     if f0 is None:
         f0 = await obj(point)
-    alpha = 0.1 * float(np.min(domain.ranges[moving] / np.abs(direction[moving])))
+    alpha = 0.1 * float((domain.ranges[moving] / np.abs(direction[moving])).min())
     for _ in range(LINE_SEARCH_MAX_HALVINGS + 1):
         candidate = domain.clip(point + alpha * direction)
-        if not np.array_equal(candidate, point):
+        if not (candidate == point).all():
             value = await obj(candidate)
             if value < f0:
                 return await _extend(obj, point, direction, domain,
@@ -342,7 +343,7 @@ async def _extend(obj, point, direction, domain, alpha, best_point, best_value):
     while True:
         alpha *= 2.0
         candidate = domain.clip(point + alpha * direction)
-        if np.array_equal(candidate, best_point):
+        if (candidate == best_point).all():
             return best_point, best_value
         value = await obj(candidate)
         if value < best_value:
@@ -407,7 +408,7 @@ async def sd_run(starts: list[np.ndarray], cfg: SolverConfig, domain: Domain,
         for _ in range(DESCENT_MAX_ITERATIONS):
             _push_shared(starts, share_inbox)
             gradient = await finite_difference_gradient(obj, point, domain)
-            if not np.any(gradient):
+            if not gradient.any():
                 break
             new_point, new_value = await line_search(
                 obj, point, -gradient, domain, f0=value)

@@ -28,6 +28,26 @@ def level_of(queues, request):
     raise LookupError("request not queued")
 
 
+def clip_reference(domain, values):
+    """``Domain.clip`` as first written: ``np.clip``, then integer rounding."""
+    out = np.clip(np.asarray(values, dtype=float), domain.lower, domain.upper)
+    mask = domain.integer_mask
+    if mask.any():
+        out[mask] = np.round(out[mask])
+    return out
+
+
+def domain_contains(domain, values):
+    """Whether ``values`` lies in the box, integer dimensions on the grid."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != domain.lower.shape:
+        return False
+    if np.any(values < domain.lower) or np.any(values > domain.upper):
+        return False
+    mask = domain.integer_mask
+    return not mask.any() or bool(np.all(values[mask] == np.round(values[mask])))
+
+
 def brute_force_front(evaluations):
     """Quadratic non-dominated filter with first-arrival duplicate rule."""
     survivors = []

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopt.core import (
     Domain,
@@ -15,6 +17,7 @@ from coopt.core import (
     freeze_point,
     uniform_box,
 )
+from oracles import clip_reference, domain_contains
 
 
 def _sphere_model(point, _params):
@@ -62,7 +65,7 @@ def test_random_point_respects_domain():
                  (VarKind.REAL, VarKind.INTEGER))
     for _ in range(200):
         p = dom.random_point(rng)
-        assert dom.contains(p)
+        assert domain_contains(dom, p)
         assert p[1] == round(p[1])
 
 
@@ -71,7 +74,56 @@ def test_random_population_size_and_membership():
     dom = uniform_box(-2.0, 2.0, 4)
     pop = dom.random_population(rng, 12)
     assert len(pop) == 12
-    assert all(dom.contains(p) for p in pop)
+    assert all(domain_contains(dom, p) for p in pop)
+
+
+# Integral bounds, so any dimension may be INTEGER; signed zeros included.
+CLIP_BOUND = st.sampled_from([-5.0, -1.0, -0.0, 0.0, 2.0, 7.0])
+CLIP_VALUE = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
+                     0.5, -0.5, 1.5, 2.5, -2.5]),
+    st.floats(-10.0, 10.0),
+    st.floats())
+
+
+@st.composite
+def clip_cases(draw, n=10):
+    """A 10-d domain with one lo == hi dimension, and a point to clip."""
+    mixed = draw(st.booleans())
+    lower, upper, kinds = [], [], []
+    for _ in range(n):
+        lo, hi = sorted((draw(CLIP_BOUND), draw(CLIP_BOUND)))
+        lower.append(lo)
+        upper.append(hi)
+        kinds.append(draw(st.sampled_from(VarKind)) if mixed
+                     else VarKind.REAL)
+    flat = draw(st.integers(0, n - 1))
+    upper[flat] = lower[flat]
+    domain = Domain(np.array(lower), np.array(upper), tuple(kinds))
+    values = draw(st.lists(CLIP_VALUE, min_size=n, max_size=n))
+    return domain, values if draw(st.booleans()) else np.array(values)
+
+
+@settings(deadline=None, max_examples=300)
+@given(clip_cases())
+def test_domain_clip_matches_np_clip_reference_bit_for_bit(case):
+    domain, values = case
+    before = np.array(values, dtype=float).tobytes()
+    out = domain.clip(values)
+    expected = clip_reference(domain, values)
+    assert out.dtype == expected.dtype and out.shape == expected.shape
+    assert out.tobytes() == expected.tobytes()
+    assert np.array(values, dtype=float).tobytes() == before
+
+
+def test_domain_ranges_are_precomputed_and_read_only():
+    dom = Domain(np.array([-1.0, 0.0]), np.array([1.0, 5.0]),
+                 (VarKind.REAL, VarKind.INTEGER))
+    assert dom.ranges.tolist() == [2.0, 5.0]
+    assert dom.ranges is dom.ranges
+    assert dom.has_integer and not uniform_box(0.0, 1.0, 3).has_integer
+    with pytest.raises(ValueError):
+        dom.ranges[0] = 9.0
 
 
 # ----------------------------------------------------------- evaluation
@@ -101,7 +153,9 @@ def test_failing_model_maps_to_infinite_sentinel():
         raise FloatingPointError("model blew up")
 
     prob = Problem("bad", uniform_box(0.0, 1.0, 2), 1, bad)
-    e = evaluate_model(prob, np.array([0.5, 0.5]))
+    point = np.array([0.5, 0.5])
+    e = evaluate_model(prob, point)
+    assert e.point is not point and not e.point.flags.writeable
     assert e.failed and not e.feasible
     assert e.objectives == (math.inf,)
     assert e.constraint == math.inf
@@ -130,6 +184,64 @@ def test_evaluation_point_is_frozen():
     e = evaluate_model(SPHERE2, np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         e.point[0] = 9.0
+
+
+def _read_only_view():
+    owner = np.array([1.0, 2.0])
+    view = owner[:]
+    view.setflags(write=False)
+    return view, owner
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (np.array([1.0, 2.0]),) * 2,
+    _read_only_view,
+    lambda: (np.array([1, 2]),) * 2,
+    lambda: ([1.0, 2.0],) * 2,
+], ids=["writable-array", "read-only-view", "int-array", "list"])
+def test_evaluate_model_copies_points_it_does_not_own(make):
+    point, owner = make()
+    e = evaluate_model(SPHERE2, point)
+    assert e.point is not point
+    assert e.point.dtype == np.float64
+    assert not e.point.flags.writeable
+    owner[0] = 9.0  # the caller's later writes do not reach the evaluation
+    assert e.point.tolist() == [1.0, 2.0]
+    assert e.objectives == (5.0,)
+
+
+def test_evaluate_model_reuses_a_frozen_owned_point():
+    point = freeze_point([1.0, 2.0])
+    e = evaluate_model(SPHERE2, point)
+    assert e.point is point
+    assert e.objectives == (5.0,)
+
+
+SCALAR_FORMS = pytest.mark.parametrize("wrap", [
+    float, np.float64, lambda z: np.array([z]), lambda z: (z,),
+], ids=["float", "np.float64", "1-element-array", "1-tuple"])
+
+
+@SCALAR_FORMS
+def test_scalar_objective_forms_give_the_same_evaluation(wrap):
+    def model(point, _params):
+        return wrap(float(np.sum(point**2))), np.float64(-1.0)
+
+    prob = Problem("forms", uniform_box(-5.0, 5.0, 2), 1, model)
+    e = evaluate_model(prob, np.array([1.0, 2.0]))
+    assert e.objectives == (5.0,) and type(e.objectives[0]) is float
+    assert e.constraint == -1.0 and type(e.constraint) is float
+
+
+@SCALAR_FORMS
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_objective_forms_give_the_sentinel(wrap, bad):
+    def model(point, _params):
+        return wrap(bad), -1.0
+
+    prob = Problem("forms", uniform_box(-5.0, 5.0, 2), 1, model)
+    e = evaluate_model(prob, np.array([1.0, 2.0]))
+    assert e.failed and e.objectives == (math.inf,)
 
 
 # -------------------------------------------- one objective: better-than

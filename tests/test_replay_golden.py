@@ -5,8 +5,19 @@ trace.csv + archive.csv + events.log with SHA-256.  The first six hashes
 were recorded before the reply-future / preset-table refactor, the
 false-readings-analogue ones before the 2-D staircase archive and layers;
 all still hold.  That problem's second objective is built from floored
-counts, so its fronts and fitness layers are full of equal-z2 ties.  A
-change that alters any message, its order, or the written outputs breaks
+counts, so its fronts and fitness layers are full of equal-z2 ties.
+
+The last two were recorded before the per-evaluation trims (the clip,
+``evaluate_model`` and promotion rewrites), on the code they replaced:
+
+* ``priority-ladder``: the hen roster at priorities 1/3/5/7/9/10, with the
+  ``RunConfig`` built directly as the benchmark's workloads build theirs.
+  Every other case queues all requests at priority 1, so only this one
+  makes ``PriorityQueues.promote`` move requests between levels.
+* ``mixed-int-quadratic-6``: its INTEGER dimensions take ``Domain.clip``'s
+  rounding branch and the coordinate search's integer axis search.
+
+A change that alters any message, its order, or the written outputs breaks
 them.  A change that alters outputs on purpose must say why and record the
 new hashes.
 """
@@ -15,8 +26,9 @@ import hashlib
 
 import pytest
 
-from coopt.harness import preset_config, run_once, write_run_dir
+from coopt.harness import RunConfig, preset_config, run_once, write_run_dir
 from coopt.scheduler import Budget
+from coopt.solvers import SolverConfig
 
 SEED = 5
 GOLDEN = {
@@ -36,21 +48,40 @@ GOLDEN = {
         "92835ef2bf4923f6969b8eb4e707365fe566039cb326bc61e71cf97df3f186e9",
     ("mutas-protocol", "false-readings-analogue", None, True):
         "dd7e3fff1b08d0cc9e38eb21c395a68142e401b2bc557b749fe76f31186ac6a9",
+    ("priority-ladder", "ridge-basin-10", 6_000, False):
+        "4c3087f1c0ced8772e4a393d06c99b53cbf954b12d67d9b5bf2185b57d349aa1",
+    ("hen-protocol", "mixed-int-quadratic-6", 6_000, True):
+        "a6a37970dee2bc0833817d8974bc41804d89004064370a9f0d13095096182481",
 }
+LADDER = (("GA", 10, "ga-small", 1), ("GA", 50, "ga-large", 3),
+          ("PPA", 5, "ppa-small", 5), ("PPA", 20, "ppa-large", 7),
+          ("SD", 1, "sd", 9), ("CS", 1, "cs", 10))
 
 
 def _case_id(case):
-    _preset, problem, _messages, sharing = case
-    return f"{problem}-{'cooperating' if sharing else 'independent'}"
+    preset, problem, _messages, sharing = case
+    mode = "cooperating" if sharing else "independent"
+    ladder = "-priority-ladder" if preset == "priority-ladder" else ""
+    return f"{problem}-{mode}{ladder}"
+
+
+def _config(case) -> RunConfig:
+    preset, problem, messages, sharing = case
+    if preset == "priority-ladder":
+        roster = tuple(SolverConfig(kind, size, priority=priority,
+                                    instance_label=label)
+                       for kind, size, label, priority in LADDER)
+        return RunConfig(problem=problem, budget=Budget.messages(messages),
+                         solvers=roster, population_size=10, n_evaluators=3,
+                         sharing=sharing, seed=SEED, repetitions=1)
+    overrides = {"budget": Budget.messages(messages)} if messages else {}
+    return preset_config(preset, problem, seed=SEED, n_evaluators=3,
+                         sharing=sharing, repetitions=1, **overrides)
 
 
 @pytest.mark.parametrize("case", list(GOLDEN), ids=_case_id)
 def test_outputs_match_golden_hash(tmp_path, case):
-    preset, problem, messages, sharing = case
-    overrides = {"budget": Budget.messages(messages)} if messages else {}
-    cfg = preset_config(preset, problem, seed=SEED, n_evaluators=3,
-                        sharing=sharing, repetitions=1, **overrides)
-    run_dir = write_run_dir(tmp_path, run_once(cfg, 0))
+    run_dir = write_run_dir(tmp_path, run_once(_config(case), 0))
     digest = hashlib.sha256()
     for name in ("trace.csv", "archive.csv", "events.log"):
         digest.update((run_dir / name).read_bytes())
