@@ -13,19 +13,17 @@ Usage: python3 demos/message_flow_walkthrough.py
 """
 
 import asyncio
-import itertools
 import sys
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
-from coopt.analysis import SINGLE, Archive, analysis_loop
-from coopt.core import Problem, freeze_point, uniform_box
-from coopt.evaluator import EvaluatorStats, evaluator_loop
+from coopt.core import freeze_point
+from coopt.harness import run_agents, wire
 from coopt.messaging import Mailbox, MailboxClosed, Message, MessageKind
-from coopt.scheduler import (Budget, EvaluationRequest, PriorityQueues,
-                             SchedulerState, scheduler_loop)
+from coopt.problems import registry_get
+from coopt.scheduler import Budget, EvaluationRequest, PriorityQueues
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from oracles import level_of  # noqa: E402  (test helper: peeks at a queue)
@@ -98,11 +96,7 @@ def priority_promotion():
 
 # ---------------------------------------------------------------- part 3
 
-def sphere(point, _params):
-    return float(np.sum(point ** 2)), -1.0
-
-
-PROBLEM = Problem("sphere-3", uniform_box(-5.0, 5.0, 3), 1, sphere)
+PROBLEM = registry_get("sphere-3")
 
 
 async def shrinking_search(solver_id, scheduler_inbox, share_mb, seed):
@@ -133,43 +127,19 @@ async def shrinking_search(solver_id, scheduler_inbox, share_mb, seed):
         return
 
 
-async def wired_run(sharing):
-    solver_ids = list(SEEDS)
-    scheduler_inbox = Mailbox(2 * (len(solver_ids) + N_EVALUATORS + 1),
-                              name="scheduler")
-    analysis_inbox = Mailbox(2 * (N_EVALUATORS + 1), name="analysis")
-    evaluator_mbs = {f"eval-{i}": Mailbox(2, name=f"eval-{i}")
-                     for i in range(N_EVALUATORS)}
-    share_mbs = {sid: Mailbox(4, name=f"share:{sid}") for sid in solver_ids}
-    events = []
-    state = SchedulerState(inbox=scheduler_inbox,
-                           evaluator_mailboxes=evaluator_mbs,
-                           share_mailboxes=share_mbs,
-                           analysis_inbox=analysis_inbox,
-                           budget=Budget.messages(MESSAGE_BUDGET),
-                           sharing=sharing,
-                           events=events.append)
-    seq = itertools.count(1)
-    stats = {eid: EvaluatorStats(eid) for eid in evaluator_mbs}
-    tasks = [asyncio.ensure_future(t) for t in (
-        [analysis_loop(analysis_inbox, scheduler_inbox, Archive(SINGLE))]
-        + [evaluator_loop(eid, PROBLEM, scheduler_inbox, analysis_inbox,
-                          mb, seq, stats[eid])
-           for eid, mb in evaluator_mbs.items()]
-        + [shrinking_search(sid, scheduler_inbox, share_mbs[sid], seed)
-           for sid, seed in SEEDS.items()])]
-    archive = await scheduler_loop(state)
-    await asyncio.gather(*tasks, return_exceptions=True)
-    mailboxes = ([scheduler_inbox, analysis_inbox]
-                 + list(evaluator_mbs.values()) + list(share_mbs.values()))
-    return archive, state, events, mailboxes
-
-
 def full_run():
     hr("3. a wired run on sphere-3")
     print(f"budget: {MESSAGE_BUDGET} scheduler messages, "
           f"{N_EVALUATORS} evaluators, solvers {list(SEEDS)}, sharing on")
-    archive, state, events, mailboxes = asyncio.run(wired_run(sharing=True))
+    events = []
+    agents = wire(PROBLEM, list(SEEDS), N_EVALUATORS,
+                  Budget.messages(MESSAGE_BUDGET), sharing=True,
+                  events=events.append)
+    state = agents.state
+    archive, errors = asyncio.run(run_agents(agents, [
+        shrinking_search(sid, state.inbox, state.share_mailboxes[sid], seed)
+        for sid, seed in SEEDS.items()]))
+    assert not errors
 
     print("\nfirst events on the scheduler's log:")
     for event in events[:6]:
@@ -186,8 +156,7 @@ def full_run():
           [f"{e['z'][0]:.3f}" for e in events if e["event"] == "improvement"])
 
     print("\nper-mailbox ledger (puts == takes + drops + queued):")
-    for mb in mailboxes:
-        s = mb.stats()
+    for s in (e for e in events if e["event"] == "mailbox"):
         balanced = s["puts"] == s["takes"] + s["drops"] + s["queued"]
         print(f"  {s['mailbox']:12s} puts {s['puts']:4d}  takes "
               f"{s['takes']:4d}  drops {s['drops']:2d}  queued "

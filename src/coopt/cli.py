@@ -36,32 +36,44 @@ from coopt.metrics import (
 )
 
 
+class InputError(Exception):
+    """A command's input is unusable; ``main`` prints it and returns 2."""
+
+
 def _parse_point(text: str, flag: str) -> tuple[float, ...]:
     try:
         values = tuple(float(v) for v in text.split(","))
     except ValueError:
-        raise SystemExit(f"error: {flag} expects z1,z2 — got {text!r}")
+        raise InputError(f"{flag} expects z1,z2 — got {text!r}") from None
     if len(values) != 2:
-        raise SystemExit(f"error: {flag} expects exactly two values")
+        raise InputError(f"{flag} expects exactly two values")
     return values
 
 
 def _read_objectives(path) -> list[tuple[float, ...]]:
     """The z1[,z2] columns of a CSV written by the harness (or compatible)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        columns = [c for c in (reader.fieldnames or []) if c.startswith("z")]
-        if not columns:
-            raise SystemExit(f"error: {path} has no z1/z2 columns")
-        return [tuple(float(row[c]) for c in columns) for row in reader]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            columns = [c for c in (reader.fieldnames or [])
+                       if c.startswith("z")]
+            if not columns:
+                raise InputError(f"{path} has no z1/z2 columns")
+            try:
+                return [tuple(float(row[c]) for c in columns)
+                        for row in reader]
+            except (TypeError, ValueError) as exc:  # a short row gives None
+                raise InputError(f"{path} line {reader.line_num}: {exc}") \
+                    from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(exc) from None
 
 
 def _cmd_run(args) -> int:
     try:
         cfg = load_config(args.config)
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except OSError as exc:
+        raise InputError(exc) from None
     summary = run_experiment(cfg)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 1 if summary["failures"] else 0
@@ -76,8 +88,7 @@ def _cmd_presets(_args) -> int:
 def _cmd_metrics(args) -> int:
     points = _read_objectives(args.archive)
     if not points:
-        print("error: archive is empty", file=sys.stderr)
-        return 2
+        raise InputError("archive is empty")
     rows = [("non-dominated points", float(len(points)))]
     if len(points[0]) == 2:
         rows.append(("area", area_trapezoid(points)))
@@ -102,23 +113,27 @@ def _cmd_metrics(args) -> int:
 def _cmd_report(args) -> int:
     run_dir = Path(args.run_dir)
     report_path = run_dir / "report.json"
-    if not report_path.exists():
-        print(f"error: {report_path} not found", file=sys.stderr)
-        return 2
-    with open(report_path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    members = [
-        Evaluation(point=tuple(m["point"]),
-                   objectives=tuple(m["objectives"]),
-                   constraint=m["g"], solver_id=m["solver_id"], seq=m["seq"])
-        for m in data["archive"]
-    ]
-    report = RunReport(
-        problem=data["problem"], mode=data["mode"],
-        rep_index=data["rep_index"], sharing=data["sharing"],
-        archive=Archive(MULTI, front=members), trace=data["trace"])
-    write_trace_csv(run_dir / "trace.csv", report)
-    write_archive_csv(run_dir / "archive.csv", report)
+    try:
+        with open(report_path, encoding="utf-8") as fh:
+            data = json.load(fh)
+        members = [
+            Evaluation(point=tuple(m["point"]),
+                       objectives=tuple(m["objectives"]),
+                       constraint=m["g"], solver_id=m["solver_id"],
+                       seq=m["seq"])
+            for m in data["archive"]
+        ]
+        report = RunReport(
+            problem=data["problem"], mode=data["mode"],
+            rep_index=data["rep_index"], sharing=data["sharing"],
+            archive=Archive(MULTI, front=members), trace=data["trace"])
+        write_trace_csv(run_dir / "trace.csv", report)
+        write_archive_csv(run_dir / "archive.csv", report)
+    except OSError as exc:
+        raise InputError(exc) from None
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError: bad JSON
+        raise InputError(f"{report_path} is not a run report "
+                         f"({type(exc).__name__}: {exc})") from None
     print(f"wrote {run_dir / 'trace.csv'} and {run_dir / 'archive.csv'}")
     return 0
 
@@ -150,4 +165,8 @@ def main(argv=None) -> int:
     p_report.set_defaults(func=_cmd_report)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigError, InputError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2

@@ -39,13 +39,12 @@ class EvaluatorStats:
 async def evaluator_loop(evaluator_id: str, problem: Problem,
                          scheduler_inbox: Mailbox, analysis_inbox: Mailbox,
                          own_mailbox: Mailbox, seq: Iterator[int],
-                         stats: EvaluatorStats | None = None) -> EvaluatorStats:
+                         stats: EvaluatorStats) -> None:
     """Serve evaluation requests until any channel closes.
 
     ``seq`` is shared by all evaluators of a run and numbers evaluations
     globally in completion order.
     """
-    stats = stats or EvaluatorStats(evaluator_id)
     while True:
         try:
             await scheduler_inbox.put(
@@ -53,7 +52,7 @@ async def evaluator_loop(evaluator_id: str, problem: Problem,
             stats.requests += 1
             message = await own_mailbox.take()
         except MailboxClosed:
-            return stats
+            return
         request = message.content
         evaluation = evaluate_model(problem, request.point,
                                     solver_id=request.solver_id,
@@ -67,4 +66,4 @@ async def evaluator_loop(evaluator_id: str, problem: Problem,
                 Message(MessageKind.ANALYSESOLUTION, evaluator_id, evaluation))
             stats.analysis_sent += 1
         except MailboxClosed:
-            return stats
+            return

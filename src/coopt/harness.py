@@ -249,7 +249,13 @@ _SOLVER_KEYS = {
 
 def load_config(path) -> RunConfig:
     """Parse and validate a config file; errors cite the offending line."""
-    text = Path(path).read_text(encoding="utf-8")
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"line {lineno}: not UTF-8 text "
+                          f"(byte {raw[exc.start]:#04x})") from None
     top: dict[str, tuple[str, int]] = {}
     blocks: list[dict[str, tuple[str, int]]] = []
     current: Optional[dict] = None
@@ -349,54 +355,76 @@ def _derive_seeds(cfg: RunConfig, rep_index: int):
     return population_rng, solver_seeds
 
 
-async def _run_agents(cfg: RunConfig, problem: Problem,
-                      initial_points, solver_cfgs, sink):
-    """Start analysis, evaluators, scheduler, then solvers; run to budget."""
+class Agents(NamedTuple):
+    """One run's wiring, as ``wire`` builds it; no agent is started yet."""
+
+    state: SchedulerState
+    coroutines: list  # the analysis agent's, then one per evaluator
+    stats: dict[str, EvaluatorStats]
+    mailboxes: list[Mailbox]  # in the order of their ledger records
+
+
+def wire(problem: Problem, solver_labels, n_evaluators: int, budget: Budget,
+         sharing: bool = False, events=None) -> Agents:
+    """Build the mailboxes, scheduler state and agent coroutines of a run.
+
+    This is the one place that sizes the mailboxes.  For S solvers and E
+    evaluators: scheduler inbox 2(S + E + 1), analysis inbox 2(E + 1), each
+    evaluator's mailbox 2, each solver's share ring 4.  The archive keeps
+    one objective or a front, as ``problem.n_obj`` says.
+    """
     scheduler_inbox = Mailbox(
-        2 * (len(solver_cfgs) + cfg.n_evaluators + 1), name="scheduler")
-    analysis_inbox = Mailbox(2 * (cfg.n_evaluators + 1), name="analysis")
+        2 * (len(solver_labels) + n_evaluators + 1), name="scheduler")
+    analysis_inbox = Mailbox(2 * (n_evaluators + 1), name="analysis")
     evaluator_mbs = {f"eval-{i}": Mailbox(2, name=f"eval-{i}")
-                     for i in range(cfg.n_evaluators)}
-    share_mbs = {sc.label: Mailbox(4, name=f"share:{sc.label}")
-                 for sc in solver_cfgs}
-    mode = SINGLE if problem.n_obj == 1 else MULTI
+                     for i in range(n_evaluators)}
+    share_mbs = {label: Mailbox(4, name=f"share:{label}")
+                 for label in solver_labels}
     state = SchedulerState(
         inbox=scheduler_inbox,
         evaluator_mailboxes=evaluator_mbs,
         share_mailboxes=share_mbs,
         analysis_inbox=analysis_inbox,
-        budget=cfg.budget,
-        sharing=cfg.sharing,
-        events=sink,
+        budget=budget,
+        sharing=sharing,
+        events=events,
     )
     seq = itertools.count(1)
     stats = {eid: EvaluatorStats(eid) for eid in evaluator_mbs}
-
-    tasks = [asyncio.ensure_future(
-        analysis_loop(analysis_inbox, scheduler_inbox, Archive(mode)))]
-    tasks += [
-        asyncio.ensure_future(evaluator_loop(
-            eid, problem, scheduler_inbox, analysis_inbox, mb, seq,
-            stats[eid]))
+    mode = SINGLE if problem.n_obj == 1 else MULTI
+    coroutines = [analysis_loop(analysis_inbox, scheduler_inbox,
+                                Archive(mode))]
+    coroutines += [
+        evaluator_loop(eid, problem, scheduler_inbox, analysis_inbox, mb,
+                       seq, stats[eid])
         for eid, mb in evaluator_mbs.items()
     ]
+    return Agents(state, coroutines, stats,
+                  [scheduler_inbox, analysis_inbox, *evaluator_mbs.values(),
+                   *share_mbs.values()])
+
+
+async def run_agents(agents: Agents, solvers) -> tuple[Archive, list]:
+    """Start analysis, evaluators, scheduler, then solvers; run to budget.
+
+    ``solvers`` are the solver coroutines, not yet started.  Returns the
+    final archive and the exceptions any agent ended with.  The evaluator
+    records, then one ledger record per mailbox, go to the events sink.
+    """
+    state = agents.state
+    tasks = [asyncio.ensure_future(c) for c in agents.coroutines]
     scheduler_task = asyncio.ensure_future(scheduler_loop(state))
-    tasks += [
-        asyncio.ensure_future(solver_loop(
-            sc, problem.domain, initial_points, scheduler_inbox,
-            share_mbs[sc.label], sink))
-        for sc in solver_cfgs
-    ]
-    snapshot = await scheduler_task
+    tasks += [asyncio.ensure_future(s) for s in solvers]
+    archive = await scheduler_task
     results = await asyncio.gather(*tasks, return_exceptions=True)
     errors = [r for r in results if isinstance(r, BaseException)]
 
-    for evaluator_stats in stats.values():
-        sink(evaluator_stats.record())
-    for mb in (scheduler_inbox, analysis_inbox, *evaluator_mbs.values(),
-               *share_mbs.values()):
-        sink({"event": "mailbox", **mb.stats()})
-    return snapshot, state, errors
+    if state.events is not None:
+        for evaluator_stats in agents.stats.values():
+            state.events(evaluator_stats.record())
+        for mb in agents.mailboxes:
+            state.events({"event": "mailbox", **mb.stats()})
+    return archive, errors
 
 
 def run_once(cfg: RunConfig, rep_index: int) -> RunReport:
@@ -407,6 +435,7 @@ def run_once(cfg: RunConfig, rep_index: int) -> RunReport:
         population_rng, cfg.population_size)
     solver_cfgs = [replace(sc, seed=seed)
                    for sc, seed in zip(cfg.solvers, solver_seeds)]
+    labels = [sc.label for sc in solver_cfgs]
     classes = {sc.label: sc.solver_class for sc in solver_cfgs}
 
     events: list[dict] = []
@@ -420,15 +449,19 @@ def run_once(cfg: RunConfig, rep_index: int) -> RunReport:
         "mode": report.mode,
         "rep_index": rep_index,
         "np": cfg.population_size,
-        "solvers": [sc.label for sc in solver_cfgs],
+        "solvers": labels,
         "initial_population": [[float(v) for v in p]
                                for p in initial_points],
     })
     started = time.perf_counter()
+    agents = wire(problem, labels, cfg.n_evaluators, cfg.budget,
+                  cfg.sharing, events.append)
+    state = agents.state
+    solvers = [solver_loop(sc, problem.domain, initial_points, state.inbox,
+                           state.share_mailboxes[sc.label], events.append)
+               for sc in solver_cfgs]
     try:
-        snapshot, state, errors = asyncio.run(
-            _run_agents(cfg, problem, initial_points, solver_cfgs,
-                        events.append))
+        snapshot, errors = asyncio.run(run_agents(agents, solvers))
     except Exception as exc:  # agent panic: abort run, flag the report
         report.valid = False
         report.error = f"{type(exc).__name__}: {exc}"

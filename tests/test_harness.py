@@ -415,6 +415,41 @@ def test_cli_run_rejects_bad_config(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"seed = 1\nproblem = sphere-3\xff\n")
+    with pytest.raises(ConfigError, match="line 2: not UTF-8"):
+        load_config(cfg)
+    assert cli_main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: line 2: not UTF-8")
+
+
+@pytest.mark.parametrize("argv, files, fragment", [
+    (["metrics", "missing.csv"], {}, "No such file"),
+    (["metrics", "a.csv"], {"a.csv": "z1,z2\n0.5,oops\n"},
+     "a.csv line 2: could not convert string to float: 'oops'"),
+    (["metrics", "a.csv"], {"a.csv": "z1,z2\n0.5,0.5\n0.5\n"},
+     "a.csv line 3: float() argument"),
+    (["metrics", "a.csv"], {"a.csv": "d1\n0.5\n"}, "no z1/z2 columns"),
+    (["metrics", "a.csv"], {"a.csv": "z1,z2\n"}, "archive is empty"),
+    (["metrics", "a.csv", "--ref", "1"], {"a.csv": "z1,z2\n0.5,0.5\n"},
+     "--ref expects exactly two values"),
+    (["report", "."], {}, "No such file"),
+    (["report", "."], {"report.json": "{"}, "JSONDecodeError"),
+    (["report", "."], {"report.json": "{}"}, "KeyError: 'archive'"),
+    (["report", "."], {"report.json": "[]"}, "TypeError"),
+])
+def test_cli_bad_input_is_an_error_not_a_traceback(tmp_path, monkeypatch,
+                                                   capsys, argv, files,
+                                                   fragment):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err
+
+
 def test_cli_metrics_reads_archive(tmp_path, capsys):
     archive = tmp_path / "archive.csv"
     archive.write_text("d1,z1,z2,g,solver_id,seq\n"

@@ -617,27 +617,24 @@ def test_cs_integer_dimension_searches_integer_steps():
 # ------------------------------------------------- solver loop in system
 
 def test_solver_loops_run_against_real_scheduler():
-    from test_agents import wire
-    from coopt.scheduler import Budget, scheduler_loop
+    from coopt.harness import run_agents, wire
+    from coopt.problems import registry_get
+    from coopt.scheduler import Budget
 
-    async def go():
-        state, agents, share_mbs, _ = wire(
-            ["ga", "sd"], 2, Budget.messages(800), sharing=True)
-        rng = np.random.default_rng(0)
-        box = uniform_box(-5.0, 5.0, 3)
-        initial = [box.random_point(rng) for _ in range(6)]
-        tasks = [asyncio.ensure_future(t) for t in agents]
-        tasks.append(asyncio.ensure_future(solver_loop(
-            SolverConfig("GA", size_param=6, seed=1, instance_label="ga"),
-            box, initial, state.inbox, share_mbs["ga"])))
-        tasks.append(asyncio.ensure_future(solver_loop(
-            SolverConfig("SD", seed=2, instance_label="sd"),
-            box, initial, state.inbox, share_mbs["sd"])))
-        archive = await scheduler_loop(state)
-        await asyncio.gather(*tasks)
-        return archive, initial
-
-    archive, initial = asyncio.run(go())
+    problem = registry_get("sphere-3")
+    rng = np.random.default_rng(0)
+    initial = [problem.domain.random_point(rng) for _ in range(6)]
+    agents = wire(problem, ["ga", "sd"], 2, Budget.messages(800),
+                  sharing=True)
+    inbox, share_mbs = agents.state.inbox, agents.state.share_mailboxes
+    archive, errors = asyncio.run(run_agents(agents, [
+        solver_loop(SolverConfig("GA", size_param=6, seed=1,
+                                 instance_label="ga"),
+                    problem.domain, initial, inbox, share_mbs["ga"]),
+        solver_loop(SolverConfig("SD", seed=2, instance_label="sd"),
+                    problem.domain, initial, inbox, share_mbs["sd"]),
+    ]))
+    assert not errors
     initial_best = min(float(np.sum(p**2)) for p in initial)
     assert archive.best is not None
     assert archive.best.objectives[0] < initial_best
