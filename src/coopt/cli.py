@@ -71,10 +71,9 @@ def _read_objectives(path) -> list[tuple[float, ...]]:
 
 def _cmd_run(args) -> int:
     try:
-        cfg = load_config(args.config)
-    except OSError as exc:
+        summary = run_experiment(load_config(args.config))
+    except OSError as exc:  # an unreadable config, an unusable output_dir
         raise InputError(exc) from None
-    summary = run_experiment(cfg)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 1 if summary["failures"] else 0
 

@@ -55,7 +55,7 @@ from coopt.metrics import (
     hypervolume_complement,
 )
 from coopt.problems import front_samples, registry_get
-from coopt.scheduler import Budget, SchedulerState, scheduler_loop
+from coopt.scheduler import Budget, SchedulerState, ignore_event, scheduler_loop
 from coopt.solvers import SolverConfig, solver_loop
 
 MODES = (("independent", False), ("cooperating", True))
@@ -340,7 +340,11 @@ def _solver_from_block(index: int, block: dict) -> SolverConfig:
     try:
         return SolverConfig(**fields)
     except ValueError as exc:
-        raise ConfigError(f"line {block['kind'][1]}: {exc}") from None
+        # SolverConfig names the rejected field first; cite its key's line.
+        field = str(exc).split()[0]
+        lineno = next(line for key, (_, line) in block.items()
+                      if _SOLVER_KEYS[key][0] == field)
+        raise ConfigError(f"line {lineno}: {exc}") from None
 
 
 # ------------------------------------------------------------------ running
@@ -365,7 +369,7 @@ class Agents(NamedTuple):
 
 
 def wire(problem: Problem, solver_labels, n_evaluators: int, budget: Budget,
-         sharing: bool = False, events=None) -> Agents:
+         sharing: bool = False, events=ignore_event) -> Agents:
     """Build the mailboxes, scheduler state and agent coroutines of a run.
 
     This is the one place that sizes the mailboxes.  For S solvers and E
@@ -419,11 +423,10 @@ async def run_agents(agents: Agents, solvers) -> tuple[Archive, list]:
     results = await asyncio.gather(*tasks, return_exceptions=True)
     errors = [r for r in results if isinstance(r, BaseException)]
 
-    if state.events is not None:
-        for evaluator_stats in agents.stats.values():
-            state.events(evaluator_stats.record())
-        for mb in agents.mailboxes:
-            state.events({"event": "mailbox", **mb.stats()})
+    for evaluator_stats in agents.stats.values():
+        state.events(evaluator_stats.record())
+    for mb in agents.mailboxes:
+        state.events({"event": "mailbox", **mb.stats()})
     return archive, errors
 
 

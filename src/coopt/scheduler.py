@@ -19,6 +19,10 @@ from coopt.messaging import Mailbox, MailboxClosed, Message, MessageKind
 P_MAX = 10
 
 
+def ignore_event(record: dict) -> None:
+    """The events sink of a run that keeps no event log."""
+
+
 class EvaluationRequest(NamedTuple):
     """A point awaiting dispatch, with the reply future of the asking solver."""
 
@@ -29,22 +33,19 @@ class EvaluationRequest(NamedTuple):
 
 
 class PriorityQueues:
-    """Vector of FIFO queues over priority levels 1..p_max.
+    """Vector of FIFO queues over priority levels 1..P_MAX.
 
     Dispatch removes the head of the highest non-empty level, then promotes
     the head of every other level up one (sweeping from the top down so a
     request climbs at most one level per dispatch).  A request entering at
-    the bottom therefore reaches the top level after p_max - 1 promotions,
+    the bottom therefore reaches the top level after P_MAX - 1 promotions,
     which rules out starvation; with every producer on one priority level
     the dispatch order degenerates to plain FIFO.
     """
 
-    def __init__(self, p_max: int = P_MAX):
-        if p_max < 1:
-            raise ValueError("p_max must be >= 1")
-        self.p_max = p_max
-        self._levels: list[deque] = [deque() for _ in range(p_max + 1)]
-        # Levels p_max..1, and the (level p + 1, level p) pairs that a
+    def __init__(self):
+        self._levels: list[deque] = [deque() for _ in range(P_MAX + 1)]
+        # Levels P_MAX..1, and the (level p + 1, level p) pairs that a
         # promotion sweep visits, top down; built once, not per dispatch.
         self._top_down = self._levels[:0:-1]
         self._promotions = list(zip(self._top_down, self._top_down[1:]))
@@ -57,8 +58,8 @@ class PriorityQueues:
         return sum(len(level) for level in self._levels)
 
     def enqueue(self, request: EvaluationRequest) -> None:
-        if not 1 <= request.priority_at_enqueue <= self.p_max:
-            raise ValueError(f"priority outside [1, {self.p_max}]")
+        if not 1 <= request.priority_at_enqueue <= P_MAX:
+            raise ValueError(f"priority outside [1, {P_MAX}]")
         self._levels[request.priority_at_enqueue].append(request)
 
     def promote(self) -> None:
@@ -115,7 +116,7 @@ class SchedulerState:
     analysis_inbox: Mailbox
     budget: Budget
     sharing: bool = False
-    events: Optional[Callable[[dict], None]] = None
+    events: Callable[[dict], None] = ignore_event
     queues: PriorityQueues = field(default_factory=PriorityQueues)
     idle: deque = field(default_factory=deque)
     busy: set = field(default_factory=set)
@@ -145,13 +146,12 @@ async def scheduler_loop(state: SchedulerState) -> Any:
     budget (that cap is exact: dispatch stops at the limit and queued
     requests are refused during shutdown).
     """
-    emit = state.events or (lambda record: None)
     while not _exhausted(state):
         message = await state.inbox.take()
         state.msg_count += 1
-        _handle(state, message, emit)
-        _dispatch_idle(state, emit)
-    return await _shutdown(state, emit)
+        _handle(state, message)
+        _dispatch_idle(state)
+    return await _shutdown(state)
 
 
 def _exhausted(state: SchedulerState) -> bool:
@@ -160,8 +160,7 @@ def _exhausted(state: SchedulerState) -> bool:
     return state.dispatches >= state.budget.limit
 
 
-def _handle(state: SchedulerState, message: Message,
-            emit: Callable[[dict], None]) -> None:
+def _handle(state: SchedulerState, message: Message) -> None:
     if message.kind is MessageKind.EVALUATEPOINT:
         state.queues.enqueue(message.content)
     elif message.kind is MessageKind.REQUESTPOINT:
@@ -171,7 +170,7 @@ def _handle(state: SchedulerState, message: Message,
     elif message.kind is MessageKind.ANALYSESOLUTION:
         evaluation = message.content
         state.improvements += 1
-        emit({
+        state.events({
             "event": "improvement",
             "seq": evaluation.seq,
             "solver": evaluation.solver_id,
@@ -181,13 +180,12 @@ def _handle(state: SchedulerState, message: Message,
             "dispatches": state.dispatches,
         })
         if state.sharing:
-            _broadcast(state, evaluation, emit)
+            _broadcast(state, evaluation)
     else:
         raise RuntimeError(f"scheduler cannot handle {message.kind}")
 
 
-def _broadcast(state: SchedulerState, evaluation,
-               emit: Callable[[dict], None]) -> None:
+def _broadcast(state: SchedulerState, evaluation) -> None:
     delivered = 0
     for solver_id, share_mb in state.share_mailboxes.items():
         try:
@@ -197,10 +195,11 @@ def _broadcast(state: SchedulerState, evaluation,
         except MailboxClosed:
             continue
     state.broadcasts += delivered
-    emit({"event": "broadcast", "seq": evaluation.seq, "delivered": delivered})
+    state.events({"event": "broadcast", "seq": evaluation.seq,
+                  "delivered": delivered})
 
 
-def _dispatch_idle(state: SchedulerState, emit: Callable[[dict], None]) -> None:
+def _dispatch_idle(state: SchedulerState) -> None:
     while state.idle:
         if state.budget.kind == "evaluations" \
                 and state.dispatches >= state.budget.limit:
@@ -215,7 +214,7 @@ def _dispatch_idle(state: SchedulerState, emit: Callable[[dict], None]) -> None:
         state.busy.add(evaluator_id)
         state.dispatches += 1
         state.dispatches_per_solver[request.solver_id] += 1
-        emit({
+        state.events({
             "event": "dispatch",
             "evaluator": evaluator_id,
             "solver": request.solver_id,
@@ -224,25 +223,23 @@ def _dispatch_idle(state: SchedulerState, emit: Callable[[dict], None]) -> None:
         })
 
 
-def _refuse(state: SchedulerState, request: EvaluationRequest,
-            emit: Callable[[dict], None]) -> None:
+def _refuse(state: SchedulerState, request: EvaluationRequest) -> None:
     if not request.reply.done():
         request.reply.set_exception(MailboxClosed(request.solver_id))
     state.refusals += 1
-    emit({"event": "refusal", "solver": request.solver_id})
+    state.events({"event": "refusal", "solver": request.solver_id})
 
 
-def _settle(state: SchedulerState, message: Message,
-            emit: Callable[[dict], None]) -> None:
+def _settle(state: SchedulerState, message: Message) -> None:
     """Count a message taken during shutdown; refuse it if it asks for work."""
     state.msg_count += 1
     if message.kind is MessageKind.EVALUATEPOINT:
-        _refuse(state, message.content, emit)
+        _refuse(state, message.content)
     else:
-        _handle(state, message, emit)
+        _handle(state, message)
 
 
-async def _shutdown(state: SchedulerState, emit: Callable[[dict], None]) -> Any:
+async def _shutdown(state: SchedulerState) -> Any:
     """Wind the system down and collect the final archive.
 
     Order matters: first wait out busy evaluators so every dispatched result
@@ -255,10 +252,10 @@ async def _shutdown(state: SchedulerState, emit: Callable[[dict], None]) -> Any:
     """
     state.sharing = False
     while state.busy:
-        _settle(state, await state.inbox.take(), emit)
+        _settle(state, await state.inbox.take())
 
     for request in state.queues.drain():
-        _refuse(state, request, emit)
+        _refuse(state, request)
 
     for share_mb in state.share_mailboxes.values():
         share_mb.close()
@@ -268,12 +265,12 @@ async def _shutdown(state: SchedulerState, emit: Callable[[dict], None]) -> Any:
 
     # Anything that raced in before the close still gets an answer.
     while (message := state.inbox.take_nowait()) is not None:
-        _settle(state, message, emit)
+        _settle(state, message)
 
     reply = asyncio.get_running_loop().create_future()
     await state.analysis_inbox.put(
         Message(MessageKind.RETRIEVEBEST, "scheduler", reply))
     snapshot = await reply
     state.analysis_inbox.close()
-    emit({"event": "terminated", **state.counters()})
+    state.events({"event": "terminated", **state.counters()})
     return snapshot

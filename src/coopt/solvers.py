@@ -1,10 +1,12 @@
 """The five solver kinds, run as agents against the proxy objective.
 
-Population methods (GA, PPA, PSO) and direct-search methods (SD, CS) never
-see the model: every candidate goes through ``proxy_objective``, which
-routes it to the scheduler and waits on a reply future.  Each
-kind also has its own policy for absorbing solutions broadcast by the
-scheduler when sharing is on:
+``SOLVER_KINDS`` gives each kind its class and step; ``solver_loop`` has
+one driver per class.  Population methods (MH: GA, PPA, PSO) step one
+generation at a time; direct-search methods (DS: SD, CS) ``descend`` from
+one start after another.  No solver sees the model: every candidate goes
+through ``proxy_objective``, which routes it to the scheduler and waits on
+a reply future.  Each kind absorbs the solutions the scheduler broadcasts
+when sharing is on in its own way:
 
 * GA/PPA append the shared solution to the population before a step,
 * PSO replaces its worst member,
@@ -19,17 +21,14 @@ from __future__ import annotations
 import asyncio
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from coopt.core import Domain, Evaluation, dominates, freeze_point, pareto_key
 from coopt.messaging import Mailbox, MailboxClosed, Message, MessageKind
-from coopt.scheduler import EvaluationRequest
-
-MH_KINDS = ("GA", "PPA", "PSO")
-DS_KINDS = ("SD", "CS")
+from coopt.scheduler import P_MAX, EvaluationRequest, ignore_event
 
 CROSSOVER_RATE = 0.9
 MUTATION_SIGMA_FRACTION = 0.1
@@ -70,16 +69,18 @@ class SolverConfig:
     instance_label: str = ""
 
     def __post_init__(self):
-        if self.kind not in MH_KINDS + DS_KINDS:
-            raise ValueError(f"unknown solver kind {self.kind!r}")
+        if self.kind not in SOLVER_KINDS:
+            raise ValueError(f"kind {self.kind!r} is not a solver kind")
         if self.size_param < 1:
             raise ValueError("size_param must be >= 1")
+        if not 1 <= self.priority <= P_MAX:
+            raise ValueError(f"priority must lie in [1, {P_MAX}]")
         if not 0.0 <= self.weight <= 1.0:
             raise ValueError("weight must lie in [0, 1]")
 
     @property
     def solver_class(self) -> str:
-        return "MH" if self.kind in MH_KINDS else "DS"
+        return SOLVER_KINDS[self.kind][0]
 
     @property
     def label(self) -> str:
@@ -119,8 +120,13 @@ def assign_fitness(members: list[Evaluation]) -> np.ndarray:
     n = len(members)
     fitness = np.empty(n)
     for rank, i in enumerate(_layer_order(members), start=1):
-        fitness[i] = (n - rank + 1) / (n + 1)
+        fitness[i] = _rank_fitness(rank, n)
     return fitness
+
+
+def _rank_fitness(rank: int, n: int) -> float:
+    """Falls strictly with rank, so ``_layer_order`` is by falling fitness."""
+    return (n - rank + 1) / (n + 1)
 
 
 def _layer_order(members: list[Evaluation]) -> list[int]:
@@ -152,10 +158,6 @@ def _layer_order(members: list[Evaluation]) -> list[int]:
     return feasible + infeasible
 
 
-def _best_index(fitness: np.ndarray) -> int:
-    return int(np.argmax(fitness))
-
-
 # ------------------------------------------------------------- MH steppers
 
 async def ga_step(members: list[Evaluation], cfg: SolverConfig,
@@ -168,7 +170,7 @@ async def ga_step(members: list[Evaluation], cfg: SolverConfig,
     """
     pool = members + list(injected)
     fitness = assign_fitness(pool)
-    elite = pool[_best_index(fitness)]
+    elite = pool[int(fitness.argmax())]
     n = domain.size
     sigma = MUTATION_SIGMA_FRACTION * domain.ranges
     fitness_values = fitness.tolist()
@@ -198,17 +200,16 @@ async def ppa_step(members: list[Evaluation], cfg: SolverConfig,
                    evaluate, injected: list[Evaluation]) -> list[Evaluation]:
     """One propagation: fit members send many short runners, unfit few long.
 
-    A member with fitness f spawns ceil(f * 5) runners at per-dimension
-    offsets uniform in +-(1 - f) * range.  Parents and evaluated runners are
-    then truncated to the best 2 * cfg.size_param.
+    Each of the pool's ``cfg.size_param`` fittest members, at fitness f,
+    spawns ceil(f * 5) runners at per-dimension offsets uniform in
+    +-(1 - f) * range.  Parents and evaluated runners are then truncated
+    to the best 2 * cfg.size_param.
     """
     pool = members + list(injected)
-    fitness = assign_fitness(pool).tolist()
-    by_fitness = sorted(range(len(pool)), key=lambda i: -fitness[i])
-    selected = [pool[i] for i in by_fitness[:cfg.size_param]]
-    selected_fitness = [fitness[i] for i in by_fitness[:cfg.size_param]]
+    selected = [pool[i] for i in _layer_order(pool)[:cfg.size_param]]
     offspring: list[Evaluation] = []
-    for parent, f in zip(selected, selected_fitness):
+    for rank, parent in enumerate(selected, start=1):
+        f = _rank_fitness(rank, len(pool))
         n_runners = math.ceil(f * PPA_MAX_RUNNERS)
         reach = (1.0 - f) * domain.ranges
         low = -reach
@@ -216,9 +217,7 @@ async def ppa_step(members: list[Evaluation], cfg: SolverConfig,
             runner = domain.clip(parent.point + rng.uniform(low, reach))
             offspring.append(await evaluate(runner))
     combined = selected + offspring
-    combined_fitness = assign_fitness(combined).tolist()
-    keep = sorted(range(len(combined)), key=lambda i: -combined_fitness[i])
-    return [combined[i] for i in keep[:2 * cfg.size_param]]
+    return [combined[i] for i in _layer_order(combined)[:2 * cfg.size_param]]
 
 
 @dataclass
@@ -238,12 +237,11 @@ async def pso_step(swarm: list[SwarmMember], cfg: SolverConfig,
     velocity reset to zero).  Swarm size never changes.
     """
     for shared in injected:
-        fitness = assign_fitness([m.evaluation for m in swarm])
-        worst = int(np.argmin(fitness))
+        worst = _layer_order([m.evaluation for m in swarm])[-1]
         swarm[worst] = SwarmMember(
             np.array(shared.point), np.zeros(domain.size), shared, shared)
-    fitness = assign_fitness([m.evaluation for m in swarm])
-    global_best = swarm[_best_index(fitness)].evaluation
+    best = _layer_order([m.evaluation for m in swarm])[0]
+    global_best = swarm[best].evaluation
     clamp = domain.ranges
     for member in swarm:
         r1 = rng.random(domain.size)
@@ -258,6 +256,19 @@ async def pso_step(swarm: list[SwarmMember], cfg: SolverConfig,
         if dominates(member.evaluation, member.personal_best):
             member.personal_best = member.evaluation
     return swarm
+
+
+async def pso_start(members: list[Evaluation], cfg: SolverConfig,
+                    domain: Domain, rng: np.random.Generator,
+                    evaluate) -> list[SwarmMember]:
+    """The swarm: the ``cfg.size_param`` fittest members in rank order, or
+    all of them topped up with evaluated random points; velocities zero."""
+    if len(members) > cfg.size_param:
+        members = [members[i] for i in _layer_order(members)[:cfg.size_param]]
+    while len(members) < cfg.size_param:
+        members.append(await evaluate(domain.random_point(rng)))
+    return [SwarmMember(np.array(e.point), np.zeros(domain.size), e, e)
+            for e in members]
 
 
 # ---------------------------------------------------------- DS primitives
@@ -281,13 +292,13 @@ def ds_objective(evaluation: Evaluation, weight: float) -> float:
     return base + INFEASIBILITY_PENALTY * max(evaluation.constraint, 0.0)
 
 
-async def finite_difference_gradient(obj, point: np.ndarray, domain: Domain,
-                                     h: float = GRADIENT_STEP) -> np.ndarray:
+async def finite_difference_gradient(obj, point: np.ndarray,
+                                     domain: Domain) -> np.ndarray:
     """Central-difference gradient per REAL dimension; INTEGER dims get 0.
 
-    Stencil points are clipped to the box and the difference uses their
-    actual separation, so boundary points degrade to one-sided estimates.
-    Non-finite values zero the affected component.
+    Stencil points lie GRADIENT_STEP either side, clipped to the box; the
+    difference uses their actual separation, so boundary points degrade to
+    one-sided estimates.  Non-finite values zero the affected component.
     """
     n = domain.size
     grad = np.zeros(n)
@@ -296,7 +307,7 @@ async def finite_difference_gradient(obj, point: np.ndarray, domain: Domain,
         if integer[i]:
             continue
         offset = np.zeros(n)
-        offset[i] = h
+        offset[i] = GRADIENT_STEP
         hi = domain.clip(point + offset)
         lo = domain.clip(point - offset)
         span = hi[i] - lo[i]
@@ -310,9 +321,8 @@ async def finite_difference_gradient(obj, point: np.ndarray, domain: Domain,
 
 
 async def line_search(obj, point: np.ndarray, direction: np.ndarray,
-                      domain: Domain, f0: Optional[float] = None
-                      ) -> tuple[np.ndarray, float]:
-    """Backtracking search along ``direction`` from ``point``.
+                      domain: Domain, f0: float) -> tuple[np.ndarray, float]:
+    """Backtracking search along ``direction`` from ``point``, valued f0.
 
     The first trial step moves the tightest dimension 10% of its range;
     on failure the step halves (up to 20 times), on first success it doubles
@@ -320,13 +330,9 @@ async def line_search(obj, point: np.ndarray, direction: np.ndarray,
     Returns the best point found, which is ``point`` itself if nothing
     improved.
     """
-    direction = np.asarray(direction, dtype=float)
     moving = np.abs(direction) > 0.0
     if not moving.any():
-        value = await obj(point) if f0 is None else f0
-        return point, value
-    if f0 is None:
-        f0 = await obj(point)
+        return point, f0
     alpha = 0.1 * float((domain.ranges[moving] / np.abs(direction[moving])).min())
     for _ in range(LINE_SEARCH_MAX_HALVINGS + 1):
         candidate = domain.clip(point + alpha * direction)
@@ -376,83 +382,53 @@ async def _integer_axis_search(obj, point: np.ndarray, dim: int,
     return best_point, best_value
 
 
-# ------------------------------------------------------------- DS drivers
+# ------------------------------------------------------------- DS steps
 
-def _push_shared(starts: list, share_inbox: Mailbox) -> None:
-    starts.extend(np.array(e.point) for e in _drain_injected(share_inbox))
+async def sd_step(obj, point: np.ndarray, value: float, domain: Domain
+                  ) -> Optional[tuple[np.ndarray, float]]:
+    """One line search down the finite-difference gradient.
 
-
-async def _next_start(starts: list, share_inbox: Mailbox) -> np.ndarray:
-    """Pop the most recent start; park on the share channel when empty."""
-    _push_shared(starts, share_inbox)
-    while not starts:
-        try:
-            message = await share_inbox.take()
-        except MailboxClosed as exc:
-            raise SolverTerminated("no more starts") from exc
-        if message.kind is MessageKind.SHAREBEST:
-            starts.append(np.array(message.content.point))
-    return starts.pop()
-
-
-async def sd_run(starts: list[np.ndarray], cfg: SolverConfig, domain: Domain,
-                 obj, share_inbox: Mailbox) -> None:
-    """Multi-start steepest descent with finite-difference gradients.
-
-    The start list is a stack: shared solutions arriving mid-run are pushed
-    onto it, so the search keeps jumping to the currently best-known area.
+    None once the gradient vanishes or the step is below tolerance.
     """
-    while True:
-        point = await _next_start(starts, share_inbox)
-        value = await obj(point)
-        for _ in range(DESCENT_MAX_ITERATIONS):
-            _push_shared(starts, share_inbox)
-            gradient = await finite_difference_gradient(obj, point, domain)
-            if not gradient.any():
-                break
-            new_point, new_value = await line_search(
-                obj, point, -gradient, domain, f0=value)
-            if float(np.linalg.norm(new_point - point)) < DESCENT_STEP_TOLERANCE:
-                break
-            point, value = new_point, new_value
+    gradient = await finite_difference_gradient(obj, point, domain)
+    if not gradient.any():
+        return None
+    new_point, new_value = await line_search(obj, point, -gradient, domain,
+                                             value)
+    if float(np.linalg.norm(new_point - point)) < DESCENT_STEP_TOLERANCE:
+        return None
+    return new_point, new_value
 
 
-async def cs_run(starts: list[np.ndarray], cfg: SolverConfig, domain: Domain,
-                 obj, share_inbox: Mailbox) -> None:
-    """Multi-start coordinate search: line searches along each axis in turn.
+async def cs_step(obj, point: np.ndarray, value: float, domain: Domain
+                  ) -> Optional[tuple[np.ndarray, float]]:
+    """One coordinate-search sweep: a line search along each axis in turn.
 
     REAL dimensions use the backtracking line search in + then - direction;
-    INTEGER dimensions try doubling integer steps.  A start is abandoned
-    after a sweep with no improvement or 50 sweeps.
+    INTEGER dimensions try doubling integer steps.  None after a sweep with
+    no improvement.
     """
-    integer = domain.integer_mask
-    while True:
-        point = await _next_start(starts, share_inbox)
-        value = await obj(point)
-        for _ in range(DESCENT_MAX_ITERATIONS):
-            _push_shared(starts, share_inbox)
-            improved = False
-            for dim in range(domain.size):
-                if integer[dim]:
-                    point, new_value = await _integer_axis_search(
-                        obj, point, dim, domain, value)
-                else:
-                    axis = np.zeros(domain.size)
-                    axis[dim] = 1.0
-                    candidate, new_value = await line_search(
-                        obj, point, axis, domain, f0=value)
-                    if new_value >= value:
-                        candidate, new_value = await line_search(
-                            obj, point, -axis, domain, f0=value)
-                    point = candidate
-                if new_value < value:
-                    value = new_value
-                    improved = True
-            if not improved:
-                break
+    improved = False
+    for dim in range(domain.size):
+        if domain.integer_mask[dim]:
+            point, new_value = await _integer_axis_search(
+                obj, point, dim, domain, value)
+        else:
+            axis = np.zeros(domain.size)
+            axis[dim] = 1.0
+            candidate, new_value = await line_search(
+                obj, point, axis, domain, value)
+            if new_value >= value:
+                candidate, new_value = await line_search(
+                    obj, point, -axis, domain, value)
+            point = candidate
+        if new_value < value:
+            value = new_value
+            improved = True
+    return (point, value) if improved else None
 
 
-# ------------------------------------------------------------ solver loop
+# ---------------------------------------------------------------- drivers
 
 def _drain_injected(share_inbox: Mailbox) -> list[Evaluation]:
     """Take every shared solution waiting in the inbox, without blocking."""
@@ -463,18 +439,64 @@ def _drain_injected(share_inbox: Mailbox) -> list[Evaluation]:
     return injected
 
 
+def _push_shared(starts: list, share_inbox: Mailbox) -> None:
+    starts.extend(np.array(e.point) for e in _drain_injected(share_inbox))
+
+
+async def descend(starts: list[np.ndarray], domain: Domain, obj,
+                  share_inbox: Mailbox, step) -> None:
+    """The DS driver: multi-start descent with one kind's ``step``.
+
+    The start list is a stack: shared solutions arriving mid-run are pushed
+    onto it, so the search keeps jumping to the currently best-known area;
+    with no start left it parks on the share channel.  A start is abandoned
+    when ``step(obj, point, value, domain)`` returns None or after
+    DESCENT_MAX_ITERATIONS steps.
+    """
+    while True:
+        _push_shared(starts, share_inbox)
+        while not starts:
+            try:
+                message = await share_inbox.take()
+            except MailboxClosed as exc:
+                raise SolverTerminated("no more starts") from exc
+            if message.kind is MessageKind.SHAREBEST:
+                starts.append(np.array(message.content.point))
+        point = starts.pop()
+        value = await obj(point)
+        for _ in range(DESCENT_MAX_ITERATIONS):
+            _push_shared(starts, share_inbox)
+            moved = await step(obj, point, value, domain)
+            if moved is None:
+                break
+            point, value = moved
+
+
+# kind -> (class, step, start).  The class picks the driver that runs the
+# step: MH is solver_loop's generation loop, DS is ``descend``.  An MH kind's
+# start, if any, turns the evaluated initial population into its state.
+SOLVER_KINDS = {
+    "GA": ("MH", ga_step, None),
+    "PPA": ("MH", ppa_step, None),
+    "PSO": ("MH", pso_step, pso_start),
+    "SD": ("DS", sd_step, None),
+    "CS": ("DS", cs_step, None),
+}
+
+
 async def solver_loop(cfg: SolverConfig, domain: Domain,
                       initial_points: list[np.ndarray],
                       scheduler_inbox: Mailbox, share_inbox: Mailbox,
-                      events: Optional[Callable[[dict], None]] = None) -> None:
+                      events: Callable[[dict], None] = ignore_event) -> None:
     """Run one solver instance until the scheduler shuts the system down.
 
     Every solver receives the same ``initial_points`` (the shared initial
-    population); population methods evaluate them and iterate generations,
-    direct-search methods use them as their stack of starts.
+    population).  An MH solver evaluates them and steps one generation at a
+    time, each with the shared solutions that arrived since the last; a DS
+    solver hands them to ``descend`` as its stack of starts.
     """
+    solver_class, step, start = SOLVER_KINDS[cfg.kind]
     rng = np.random.default_rng(cfg.seed)
-    emit = events or (lambda record: None)
     local_best: Optional[Evaluation] = None
 
     async def evaluate(point) -> Evaluation:
@@ -484,50 +506,28 @@ async def solver_loop(cfg: SolverConfig, domain: Domain,
         if len(evaluation.objectives) == 1 and not evaluation.failed:
             if local_best is None or dominates(evaluation, local_best):
                 local_best = evaluation
-                emit({
+                events({
                     "event": "solver-improvement",
                     "solver": cfg.label,
-                    "class": cfg.solver_class,
+                    "class": solver_class,
                     "seq": evaluation.seq,
                     "z": list(evaluation.objectives),
                 })
         return evaluation
 
-    try:
-        if cfg.kind in DS_KINDS:
-            async def obj(point) -> float:
-                return ds_objective(await evaluate(point), cfg.weight)
+    async def obj(point) -> float:
+        return ds_objective(await evaluate(point), cfg.weight)
 
-            starts = [np.array(p) for p in initial_points]
-            runner = sd_run if cfg.kind == "SD" else cs_run
-            await runner(starts, cfg, domain, obj, share_inbox)
+    try:
+        if solver_class == "DS":
+            await descend([np.array(p) for p in initial_points], domain, obj,
+                          share_inbox, step)
         else:
-            members = [await evaluate(p) for p in initial_points]
-            if cfg.kind == "PSO":
-                await _pso_loop(members, cfg, domain, rng, evaluate,
-                                share_inbox)
-            else:
-                step = ga_step if cfg.kind == "GA" else ppa_step
-                while True:
-                    injected = _drain_injected(share_inbox)
-                    members = await step(members, cfg, domain, rng,
-                                         evaluate, injected)
+            state = [await evaluate(p) for p in initial_points]
+            if start is not None:
+                state = await start(state, cfg, domain, rng, evaluate)
+            while True:
+                state = await step(state, cfg, domain, rng, evaluate,
+                                   _drain_injected(share_inbox))
     except (SolverTerminated, MailboxClosed):
         return
-
-
-async def _pso_loop(members: list[Evaluation], cfg: SolverConfig,
-                    domain: Domain, rng: np.random.Generator,
-                    evaluate, share_inbox: Mailbox) -> None:
-    """Build the swarm at cfg.size_param members, then iterate steps."""
-    if len(members) > cfg.size_param:
-        fitness = assign_fitness(members)
-        keep = sorted(range(len(members)), key=lambda i: -fitness[i])
-        members = [members[i] for i in keep[:cfg.size_param]]
-    while len(members) < cfg.size_param:
-        members.append(await evaluate(domain.random_point(rng)))
-    swarm = [SwarmMember(np.array(e.point), np.zeros(domain.size), e, e)
-             for e in members]
-    while True:
-        injected = _drain_injected(share_inbox)
-        swarm = await pso_step(swarm, cfg, domain, rng, evaluate, injected)

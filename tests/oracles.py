@@ -8,6 +8,7 @@ evidence rather than tautology.
 import numpy as np
 
 from coopt.core import dominates
+from coopt.scheduler import P_MAX
 
 
 def objective_key(evaluation):
@@ -22,7 +23,7 @@ def level(queues, priority):
 
 def level_of(queues, request):
     """The priority level a queued request currently sits at."""
-    for p in range(queues.p_max, 0, -1):
+    for p in range(P_MAX, 0, -1):
         if request in queues._levels[p]:
             return p
     raise LookupError("request not queued")

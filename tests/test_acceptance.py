@@ -170,7 +170,7 @@ def test_finite_difference_matches_analytic_gradients():
             for _ in range(20):
                 point = rng.uniform(-radius, radius, size=6)
                 fd = await finite_difference_gradient(
-                    obj, point, problem.domain, h=1e-6)
+                    obj, point, problem.domain)
                 exact = exact_gradient(point)
                 rel = np.max(np.abs(fd - exact)
                              / np.maximum(1.0, np.abs(exact)))

@@ -133,6 +133,8 @@ def test_full_explicit_config(tmp_path):
     ("problem = sphere-3\n[solver]\nkind = ZZ", "line 3"),
     ("problem = sphere-3\n[solver]\nkind = SD\nomega = wide",
      "line 4: omega must be a number"),
+    ("problem = sphere-3\n[solver]\nkind = GA\nsize = 5\npriority = 11",
+     "line 5: priority must lie in [1, 10]"),
 ])
 def test_config_errors_cite_lines(tmp_path, text, fragment):
     lines = [ln.strip() for ln in text.splitlines()]
@@ -438,6 +440,11 @@ def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
     (["report", "."], {"report.json": "{"}, "JSONDecodeError"),
     (["report", "."], {"report.json": "{}"}, "KeyError: 'archive'"),
     (["report", "."], {"report.json": "[]"}, "TypeError"),
+    (["run", "run.cfg"], {"notadir": "",
+                          "run.cfg": "problem = sphere-3\n"
+                                     "preset = hen-protocol\n"
+                                     "output_dir = notadir\n"},
+     "File exists: 'notadir'"),
 ])
 def test_cli_bad_input_is_an_error_not_a_traceback(tmp_path, monkeypatch,
                                                    capsys, argv, files,

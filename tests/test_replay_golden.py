@@ -17,12 +17,18 @@ The last two were recorded before the per-evaluation trims (the clip,
 * ``mixed-int-quadratic-6``: its INTEGER dimensions take ``Domain.clip``'s
   rounding branch and the coordinate search's integer axis search.
 
+``BENCH_GOLDEN`` holds the benchmark's three workloads at full budget, as
+``bench/workloads.build_config(name, 1)`` builds them, repetition 0.  Their
+hashes were recorded before the solver-kind table and its two drivers.
+
 A change that alters any message, its order, or the written outputs breaks
 them.  A change that alters outputs on purpose must say why and record the
 new hashes.
 """
 
 import hashlib
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +59,14 @@ GOLDEN = {
     ("hen-protocol", "mixed-int-quadratic-6", 6_000, True):
         "a6a37970dee2bc0833817d8974bc41804d89004064370a9f0d13095096182481",
 }
+BENCH_GOLDEN = {
+    "hen-sphere10":
+        "199ca92db6a150a20268db7c1d801912804dde2549d1d588f1527cabbe6804a6",
+    "mutas-biobj5-5k":
+        "3c7c517629766e022db3a9ea0c59ac0739ef566097c9568863bc95cb4c262d87",
+    "hen-ridge10-prio":
+        "5a733ade54e9d5f49c3bf9793990f395041708fa91dd70a6a87a7d925acb36ee",
+}
 LADDER = (("GA", 10, "ga-small", 1), ("GA", 50, "ga-large", 3),
           ("PPA", 5, "ppa-small", 5), ("PPA", 20, "ppa-large", 7),
           ("SD", 1, "sd", 9), ("CS", 1, "cs", 10))
@@ -79,10 +93,29 @@ def _config(case) -> RunConfig:
                          sharing=sharing, repetitions=1, **overrides)
 
 
-@pytest.mark.parametrize("case", list(GOLDEN), ids=_case_id)
-def test_outputs_match_golden_hash(tmp_path, case):
-    run_dir = write_run_dir(tmp_path, run_once(_config(case), 0))
+def _workloads():
+    """``bench/workloads.py``, loaded by its path."""
+    path = Path(__file__).parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _digest(cfg: RunConfig, tmp_path) -> str:
+    run_dir = write_run_dir(tmp_path, run_once(cfg, 0))
     digest = hashlib.sha256()
     for name in ("trace.csv", "archive.csv", "events.log"):
         digest.update((run_dir / name).read_bytes())
-    assert digest.hexdigest() == GOLDEN[case]
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("case", list(GOLDEN), ids=_case_id)
+def test_outputs_match_golden_hash(tmp_path, case):
+    assert _digest(_config(case), tmp_path) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("name", list(BENCH_GOLDEN))
+def test_bench_workload_matches_golden_hash(tmp_path, name):
+    cfg = _workloads().build_config(name, 1)
+    assert _digest(cfg, tmp_path) == BENCH_GOLDEN[name]

@@ -10,20 +10,23 @@ from coopt.core import Domain, Evaluation, VarKind, freeze_point, uniform_box
 from coopt.messaging import Mailbox, MailboxClosed, Message, MessageKind
 from coopt.solvers import (
     INFEASIBILITY_PENALTY,
+    SOLVER_KINDS,
     SolverConfig,
     SolverTerminated,
     SwarmMember,
     assign_fitness,
-    cs_run,
+    cs_step,
+    descend,
     ds_objective,
     finite_difference_gradient,
     ga_step,
     line_search,
     ppa_step,
     proxy_objective,
+    pso_start,
     pso_step,
     scalarize,
-    sd_run,
+    sd_step,
     solver_loop,
 )
 from oracles import (
@@ -85,6 +88,9 @@ def test_solver_config_validation():
         SolverConfig("GA", size_param=0)
     with pytest.raises(ValueError):
         SolverConfig("SD", weight=1.5)
+    for priority in (0, 11):
+        with pytest.raises(ValueError, match="^priority"):
+            SolverConfig("GA", priority=priority)
 
 
 # --------------------------------------------------------------- proxy
@@ -380,6 +386,39 @@ def test_pso_swarm_size_invariant():
     assert len(run(go())) == 7
 
 
+def test_pso_start_truncates_to_the_fittest_in_rank_order():
+    evaluate, calls = make_evaluate(sphere_model, BOX5)
+    zs = [5.0, 1.0, 4.0, 0.5, 3.0, 2.0]
+    members = [ev([z, 0.0], z) for z in zs]
+    cfg = SolverConfig("PSO", size_param=3)
+
+    swarm = run(pso_start(members, cfg, BOX5, np.random.default_rng(0),
+                          evaluate))
+    assert [m.evaluation.objectives[0] for m in swarm] == [0.5, 1.0, 2.0]
+    assert not calls
+    for m in swarm:
+        assert m.personal_best is m.evaluation
+        assert np.array_equal(m.position, m.evaluation.point)
+        assert not m.velocity.any()
+
+
+def test_pso_start_tops_up_with_evaluated_random_points():
+    evaluate, calls = make_evaluate(sphere_model, BOX5)
+    members = [ev([4.0, 4.0], 32.0), ev([1.0, 1.0], 2.0)]
+    cfg = SolverConfig("PSO", size_param=5)
+
+    swarm = run(pso_start(list(members), cfg, BOX5,
+                          np.random.default_rng(3), evaluate))
+    rng = np.random.default_rng(3)
+    expected = [BOX5.random_point(rng) for _ in range(3)]
+    assert all(m.evaluation is e for m, e in zip(swarm, members))
+    assert len(calls) == 3
+    for m, point, called in zip(swarm[2:], expected, calls):
+        assert np.array_equal(called, point)
+        assert np.array_equal(m.position, point)
+        assert m.evaluation.objectives == (float(np.sum(point**2)),)
+
+
 # ----------------------------------------------------------- scalarize
 
 def test_scalarize_examples():
@@ -515,8 +554,8 @@ def test_sd_converges_on_convex_quadratic():
 
     async def go():
         with pytest.raises(SolverTerminated):
-            await sd_run([np.array([4.0, 4.0])], SolverConfig("SD"),
-                         BOX5, obj, closed_share())
+            await descend([np.array([4.0, 4.0])], BOX5, obj,
+                          closed_share(), sd_step)
 
     run(go())
     best = min(trace, key=lambda t: t[1])
@@ -530,8 +569,8 @@ def test_sd_takes_shared_start_first():
     async def go():
         share = closed_share(preload=[ev(shared_point, 12.5)])
         with pytest.raises(SolverTerminated):
-            await sd_run([np.array([-4.0, -4.0])], SolverConfig("SD"),
-                         BOX5, obj, share)
+            await descend([np.array([-4.0, -4.0])], BOX5, obj,
+                          share, sd_step)
 
     run(go())
     assert np.array_equal(trace[0][0], shared_point)
@@ -545,8 +584,7 @@ def test_sd_descent_from_optimum_stops_immediately():
     async def go():
         # LIFO: the optimum was pushed last, so it is attempted first.
         with pytest.raises(SolverTerminated):
-            await sd_run([far, optimum], SolverConfig("SD"), BOX5, obj,
-                         closed_share())
+            await descend([far, optimum], BOX5, obj, closed_share(), sd_step)
 
     run(go())
     # descent 1: initial value + one (zero) gradient stencil = 1 + 2*2 calls,
@@ -561,8 +599,8 @@ def test_cs_solves_separable_quadratic():
 
     async def go():
         with pytest.raises(SolverTerminated):
-            await cs_run([np.array([-3.0, 3.0])], SolverConfig("CS"),
-                         BOX5, obj, closed_share())
+            await descend([np.array([-3.0, 3.0])], BOX5, obj,
+                          closed_share(), cs_step)
 
     run(go())
     best = min(trace, key=lambda t: t[1])
@@ -574,8 +612,8 @@ def test_cs_at_optimum_does_not_move():
 
     async def go():
         with pytest.raises(SolverTerminated):
-            await cs_run([np.array([0.0, 0.0])], SolverConfig("CS"),
-                         BOX5, obj, closed_share())
+            await descend([np.array([0.0, 0.0])], BOX5, obj,
+                          closed_share(), cs_step)
 
     run(go())
     best = min(trace, key=lambda t: t[1])
@@ -588,8 +626,8 @@ def test_cs_improves_on_coupled_ridge():
 
     async def go():
         with pytest.raises(SolverTerminated):
-            await cs_run([np.array([1.0, 1.0])], SolverConfig("CS"),
-                         BOX5, obj, closed_share())
+            await descend([np.array([1.0, 1.0])], BOX5, obj,
+                          closed_share(), cs_step)
 
     run(go())
     start_value = (1.0 - 1.0) ** 2 + 0.01
@@ -603,8 +641,8 @@ def test_cs_integer_dimension_searches_integer_steps():
 
     async def go():
         with pytest.raises(SolverTerminated):
-            await cs_run([np.array([0.0, 2.0])], SolverConfig("CS"),
-                         domain, obj, closed_share())
+            await descend([np.array([0.0, 2.0])], domain, obj,
+                          closed_share(), cs_step)
 
     run(go())
     best = min(trace, key=lambda t: t[1])
@@ -616,7 +654,9 @@ def test_cs_integer_dimension_searches_integer_steps():
 
 # ------------------------------------------------- solver loop in system
 
-def test_solver_loops_run_against_real_scheduler():
+@pytest.mark.parametrize("kind", list(SOLVER_KINDS))
+def test_solver_loops_run_against_real_scheduler(kind):
+    """Each kind runs beside an SD instance, with sharing on, to the end."""
     from coopt.harness import run_agents, wire
     from coopt.problems import registry_get
     from coopt.scheduler import Budget
@@ -624,17 +664,18 @@ def test_solver_loops_run_against_real_scheduler():
     problem = registry_get("sphere-3")
     rng = np.random.default_rng(0)
     initial = [problem.domain.random_point(rng) for _ in range(6)]
-    agents = wire(problem, ["ga", "sd"], 2, Budget.messages(800),
+    agents = wire(problem, ["x", "sd"], 2, Budget.messages(800),
                   sharing=True)
     inbox, share_mbs = agents.state.inbox, agents.state.share_mailboxes
     archive, errors = asyncio.run(run_agents(agents, [
-        solver_loop(SolverConfig("GA", size_param=6, seed=1,
-                                 instance_label="ga"),
-                    problem.domain, initial, inbox, share_mbs["ga"]),
+        solver_loop(SolverConfig(kind, size_param=6, seed=1,
+                                 instance_label="x"),
+                    problem.domain, initial, inbox, share_mbs["x"]),
         solver_loop(SolverConfig("SD", seed=2, instance_label="sd"),
                     problem.domain, initial, inbox, share_mbs["sd"]),
     ]))
     assert not errors
+    assert agents.state.dispatches_per_solver["x"] > 0
     initial_best = min(float(np.sum(p**2)) for p in initial)
     assert archive.best is not None
     assert archive.best.objectives[0] < initial_best
