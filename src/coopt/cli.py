@@ -16,24 +16,14 @@ import json
 import sys
 from pathlib import Path
 
-from coopt.analysis import MULTI, Archive
-from coopt.core import Evaluation
 from coopt.harness import (
     PRESETS,
     ConfigError,
-    RunReport,
     load_config,
     run_experiment,
-    write_archive_csv,
-    write_trace_csv,
+    write_run_csvs,
 )
-from coopt.metrics import (
-    area_trapezoid,
-    average_distance,
-    generational_distance,
-    hypervolume,
-    hypervolume_complement,
-)
+from coopt.metrics import front_measures
 
 
 class InputError(Exception):
@@ -88,23 +78,14 @@ def _cmd_metrics(args) -> int:
     points = _read_objectives(args.archive)
     if not points:
         raise InputError("archive is empty")
-    rows = [("non-dominated points", float(len(points)))]
-    if len(points[0]) == 2:
-        rows.append(("area", area_trapezoid(points)))
-        if args.ref:
-            ref = _parse_point(args.ref, "--ref")
-            rows.append(("hypervolume", hypervolume(points, ref)))
-            rows.append(("hypervolume complement",
-                         hypervolume_complement(points, ref)))
-        if args.utopia:
-            rows.append(("average distance", average_distance(
-                points, _parse_point(args.utopia, "--utopia"))))
-        if args.front:
-            rows.append(("generational distance", generational_distance(
-                points, _read_objectives(args.front))))
+    measures = front_measures(
+        points,
+        reference=_parse_point(args.ref, "--ref") if args.ref else None,
+        utopia=_parse_point(args.utopia, "--utopia") if args.utopia else None,
+        front=_read_objectives(args.front) if args.front else None)
     writer = csv.writer(sys.stdout)
     writer.writerow(["measure", "value"])
-    for measure, value in rows:
+    for measure, value in measures.items():
         writer.writerow([measure, repr(float(value))])
     return 0
 
@@ -114,20 +95,8 @@ def _cmd_report(args) -> int:
     report_path = run_dir / "report.json"
     try:
         with open(report_path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        members = [
-            Evaluation(point=tuple(m["point"]),
-                       objectives=tuple(m["objectives"]),
-                       constraint=m["g"], solver_id=m["solver_id"],
-                       seq=m["seq"])
-            for m in data["archive"]
-        ]
-        report = RunReport(
-            problem=data["problem"], mode=data["mode"],
-            rep_index=data["rep_index"], sharing=data["sharing"],
-            archive=Archive(MULTI, front=members), trace=data["trace"])
-        write_trace_csv(run_dir / "trace.csv", report)
-        write_archive_csv(run_dir / "archive.csv", report)
+            summary = json.load(fh)
+        write_run_csvs(run_dir, summary)
     except OSError as exc:
         raise InputError(exc) from None
     except (KeyError, TypeError, ValueError) as exc:  # ValueError: bad JSON

@@ -25,7 +25,8 @@ solver instance; ``#`` starts a comment (whole line or trailing)::
 
 The recognized keys, and the field each one sets, are the tables
 ``_TOP_KEYS`` (top level) and ``_SOLVER_KEYS`` (``[solver]`` blocks).  Any
-other key is rejected with its line cited.  A named preset fills in the
+other key, and any value a parser or constructor rejects, is reported with
+its key and line (``_fields`` and ``_build``).  A named preset fills in the
 budget, ``np`` (shared initial population size) and roster that the file
 leaves out, exactly as ``preset_config`` does.
 """
@@ -38,6 +39,7 @@ import itertools
 import json
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
@@ -47,13 +49,7 @@ from coopt.analysis import MULTI, SINGLE, Archive, analysis_loop
 from coopt.core import Problem
 from coopt.evaluator import EvaluatorStats, evaluator_loop
 from coopt.messaging import Mailbox
-from coopt.metrics import (
-    area_trapezoid,
-    average_distance,
-    generational_distance,
-    hypervolume,
-    hypervolume_complement,
-)
+from coopt.metrics import MEASURES, front_measures
 from coopt.problems import front_samples, registry_get
 from coopt.scheduler import Budget, SchedulerState, ignore_event, scheduler_loop
 from coopt.solvers import SolverConfig, solver_loop
@@ -80,7 +76,7 @@ class RunConfig:
     solvers: tuple[SolverConfig, ...]
     population_size: int
     n_evaluators: int = 2
-    sharing: bool = True
+    sharing: bool = True  # run_once's mode; run_experiment runs both
     seed: int = 0
     repetitions: int = 10
     output_dir: str = "runs"
@@ -203,24 +199,12 @@ def preset_config(preset: str, problem: str, **overrides) -> RunConfig:
 
 # ------------------------------------------------------------- config files
 
-def _bool(value: str) -> bool:
-    return {"true": True, "false": False}[value.lower()]
-
-
 def _budget(value: str) -> Budget:
     kind, limit = value.split(":")
     kind, limit = kind.strip(), int(limit)
     try:
         return Budget(kind, limit)
     except ValueError as exc:  # well-formed, but not a valid budget
-        raise ConfigError(exc) from None
-
-
-def _np(value: str) -> int:
-    population_size = int(value)
-    try:
-        return _check_np(population_size)
-    except ValueError as exc:  # an integer, but out of range
         raise ConfigError(exc) from None
 
 
@@ -231,9 +215,8 @@ _TOP_KEYS = {
     "preset": ("preset", str, ""),
     "budget": ("budget", _budget,
                "look like messages:60000 or evaluations:1000"),
-    "np": ("population_size", _np, "be an integer"),
+    "np": ("population_size", int, "be an integer"),
     "n_evaluators": ("n_evaluators", int, "be an integer"),
-    "sharing": ("sharing", _bool, "be true or false"),
     "seed": ("seed", int, "be an integer"),
     "repetitions": ("repetitions", int, "be an integer"),
     "output_dir": ("output_dir", str, ""),
@@ -300,6 +283,25 @@ def _fields(entries: dict[str, tuple[str, int]], table: dict) -> dict:
     return fields
 
 
+def _build(make, fields: dict, entries: dict, table: dict):
+    """``make(**fields)``, with a rejected field's error citing its line.
+
+    The contract: a constructor that rejects a field raises a ValueError
+    whose message names that field, or its config key, first ("weight must
+    lie in [0, 1]").  It is raised again as a ConfigError that names the
+    key the file used, on that key's line ("line 6: omega must lie in
+    [0, 1]").  Any other ValueError keeps its message, with no line.
+    """
+    try:
+        return make(**fields)
+    except ValueError as exc:
+        name, _, rest = str(exc).partition(" ")
+        for key, (_value, lineno) in entries.items():
+            if name in (key, table[key][0]):
+                raise ConfigError(f"line {lineno}: {key} {rest}") from None
+        raise ConfigError(str(exc)) from None
+
+
 def _assemble(top: dict, blocks: list[dict]) -> RunConfig:
     fields = _fields(top, _TOP_KEYS)
     if blocks:
@@ -322,12 +324,8 @@ def _assemble(top: dict, blocks: list[dict]) -> RunConfig:
     elif preset not in PRESETS:
         line = top["preset"][1]
         raise ConfigError(f"line {line}: {_unknown_preset(preset)}")
-    try:
-        if preset is None:
-            return RunConfig(**fields)
-        return preset_config(preset, **fields)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    make = RunConfig if preset is None else partial(preset_config, preset)
+    return _build(make, fields, top, _TOP_KEYS)
 
 
 def _solver_from_block(index: int, block: dict) -> SolverConfig:
@@ -337,14 +335,7 @@ def _solver_from_block(index: int, block: dict) -> SolverConfig:
     fields = _fields(block, _SOLVER_KEYS)
     fields.setdefault("instance_label",
                       f"{fields['kind'].lower()}-{index + 1}")
-    try:
-        return SolverConfig(**fields)
-    except ValueError as exc:
-        # SolverConfig names the rejected field first; cite its key's line.
-        field = str(exc).split()[0]
-        lineno = next(line for key, (_, line) in block.items()
-                      if _SOLVER_KEYS[key][0] == field)
-        raise ConfigError(f"line {lineno}: {exc}") from None
+    return _build(SolverConfig, fields, block, _SOLVER_KEYS)
 
 
 # ------------------------------------------------------------------ running
@@ -485,7 +476,7 @@ def run_once(cfg: RunConfig, rep_index: int) -> RunReport:
             "dispatches": e["dispatches"],
             "z": e["z"],
             "instance_label": e["solver"],
-            "class": classes.get(e["solver"], "?"),
+            "class": classes[e["solver"]],
         }
         for e in events if e.get("event") == "improvement"
     ]
@@ -497,13 +488,14 @@ def run_once(cfg: RunConfig, rep_index: int) -> RunReport:
 
 
 def front_metrics(objective_points, problem_name: str) -> dict:
-    """The summary measures for one final front, keyed by measure name.
+    """``front_measures`` of one final front, in ``MEASURES`` order.
 
     Reference and utopia points come from the problem's known front when it
     has one (reference 10% beyond the worst front value per objective),
-    otherwise from the data itself.  ``hypervolume`` is the dominated area
-    (higher is better); ``hypervolume complement`` is the rest of the
-    [0, reference] box (lower is better).
+    otherwise from the data itself; generational distance needs the known
+    front.  ``hypervolume`` is the dominated area (higher is better);
+    ``hypervolume complement`` is the rest of the [0, reference] box (lower
+    is better).
     """
     pts = np.asarray(objective_points, dtype=float)
     try:
@@ -514,16 +506,7 @@ def front_metrics(objective_points, problem_name: str) -> dict:
     utopia = anchor.min(axis=0)
     nadir = anchor.max(axis=0)
     reference = nadir + 0.1 * np.maximum(nadir - utopia, 1.0)
-    row = {
-        "hypervolume": hypervolume(pts, reference),
-        "hypervolume complement": hypervolume_complement(pts, reference),
-        "area": area_trapezoid(pts),
-        "average distance": average_distance(pts, utopia),
-        "non-dominated points": float(len(pts)),
-    }
-    if front is not None:
-        row["generational distance"] = generational_distance(pts, front)
-    return row
+    return front_measures(pts, reference, utopia, front)
 
 
 # ------------------------------------------------------------------ reports
@@ -532,37 +515,51 @@ def _float_cell(value) -> str:
     return repr(float(value))
 
 
-def write_trace_csv(path, report: RunReport) -> None:
-    """One row per archive improvement, in arrival order."""
-    n_obj = max((len(row["z"]) for row in report.trace), default=1)
+def _write_csv(path, header: list, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _trace_table(trace: list[dict]) -> tuple[list, list]:
+    """trace.csv: one row per archive improvement, in arrival order."""
+    n_obj = max((len(row["z"]) for row in trace), default=1)
     header = ["seq", "messages", "dispatches"] \
         + [f"z{i + 1}" for i in range(n_obj)] + ["instance_label", "class"]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in report.trace:
-            writer.writerow(
-                [row["seq"], row["messages"], row["dispatches"]]
-                + [_float_cell(z) for z in row["z"]]
-                + [row["instance_label"], row["class"]])
+    return header, [
+        [row["seq"], row["messages"], row["dispatches"]]
+        + [_float_cell(z) for z in row["z"]]
+        + [row["instance_label"], row["class"]]
+        for row in trace
+    ]
 
 
-def write_archive_csv(path, report: RunReport) -> None:
-    """One row per archive member: decision values, objectives, g, origin."""
-    members = report.archive.members() if report.archive else []
-    n_dim = len(members[0].point) if members else 0
-    n_obj = len(members[0].objectives) if members else 1
+def _archive_table(archive: list[dict]) -> tuple[list, list]:
+    """archive.csv: one row per member: point, objectives, g, origin."""
+    n_dim = len(archive[0]["point"]) if archive else 0
+    n_obj = len(archive[0]["objectives"]) if archive else 1
     header = [f"d{i + 1}" for i in range(n_dim)] \
         + [f"z{i + 1}" for i in range(n_obj)] + ["g", "solver_id", "seq"]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for member in members:
-            writer.writerow(
-                [_float_cell(d) for d in member.point]
-                + [_float_cell(z) for z in member.objectives]
-                + [_float_cell(member.constraint), member.solver_id,
-                   member.seq])
+    return header, [
+        [_float_cell(d) for d in member["point"]]
+        + [_float_cell(z) for z in member["objectives"]]
+        + [_float_cell(member["g"]), member["solver_id"], member["seq"]]
+        for member in archive
+    ]
+
+
+def write_run_csvs(run_dir, summary: dict) -> None:
+    """trace.csv and archive.csv from the row lists of a ``report_summary``.
+
+    Both tables are rendered before either file is opened, so a summary
+    that cannot be rendered (a malformed report.json) leaves both as they
+    were.
+    """
+    tables = {"archive.csv": _archive_table(summary["archive"]),
+              "trace.csv": _trace_table(summary["trace"])}
+    for name, (header, rows) in tables.items():
+        _write_csv(Path(run_dir) / name, header, rows)
 
 
 def write_events_log(path, events: list[dict]) -> None:
@@ -578,7 +575,11 @@ def write_events_log(path, events: list[dict]) -> None:
 
 
 def report_summary(report: RunReport) -> dict:
-    """The JSON-serializable run summary (everything but the raw events)."""
+    """The JSON-serializable run summary (everything but the raw events).
+
+    Its ``trace`` and ``archive`` lists are the rows of trace.csv and
+    archive.csv; ``write_run_csvs`` renders them.
+    """
     members = report.archive.members() if report.archive else []
     return {
         "problem": report.problem,
@@ -605,44 +606,32 @@ def report_summary(report: RunReport) -> dict:
 def write_run_dir(run_dir, report: RunReport) -> Path:
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    write_trace_csv(run_dir / "trace.csv", report)
-    write_archive_csv(run_dir / "archive.csv", report)
+    summary = report_summary(report)
+    write_run_csvs(run_dir, summary)
     write_events_log(run_dir / "events.log", report.events)
     # One line: ``indent`` would force the pure-Python encoder, which costs
     # several times as much on a large front.
     (run_dir / "report.json").write_text(
-        json.dumps(report_summary(report), sort_keys=True) + "\n",
-        encoding="utf-8")
+        json.dumps(summary, sort_keys=True) + "\n", encoding="utf-8")
     return run_dir
 
 
 def write_boxplot_csv(path, bests_by_mode: dict[str, list[float]]) -> None:
     """Five-number summary of the final best value per mode."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mode", "min", "q1", "median", "q3", "max"])
-        for mode, _sharing in MODES:
-            values = bests_by_mode.get(mode, [])
-            if not values:
-                continue
-            q = np.percentile(values, [0, 25, 50, 75, 100])
-            writer.writerow([mode] + [_float_cell(v) for v in q])
+    _write_csv(path, ["mode", "min", "q1", "median", "q3", "max"], [
+        [mode] + [_float_cell(v) for v in
+                  np.percentile(bests_by_mode[mode], [0, 25, 50, 75, 100])]
+        for mode, _sharing in MODES if bests_by_mode.get(mode)
+    ])
 
 
 def write_metrics_csv(path, rows: dict[str, dict[str, float]]) -> None:
     """Measure table with one column per mode (median over repetitions)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["measure", "independent", "cooperating"])
-        for measure, by_mode in rows.items():
-            writer.writerow([measure] + [
-                _float_cell(by_mode[mode]) if mode in by_mode else ""
-                for mode, _sharing in MODES])
-
-
-_METRIC_ORDER = ("hypervolume", "hypervolume complement", "area",
-                 "average distance", "generational distance",
-                 "non-dominated points")
+    _write_csv(path, ["measure", "independent", "cooperating"], [
+        [measure] + [_float_cell(by_mode[mode]) if mode in by_mode else ""
+                     for mode, _sharing in MODES]
+        for measure, by_mode in rows.items()
+    ])
 
 
 def run_experiment(cfg: RunConfig) -> dict:
@@ -687,7 +676,7 @@ def run_experiment(cfg: RunConfig) -> dict:
         }
     else:
         rows: dict[str, dict[str, float]] = {}
-        for measure in _METRIC_ORDER:
+        for measure in MEASURES:
             by_mode = {}
             for mode, mode_reports in reports.items():
                 values = [r.metrics_row[measure] for r in mode_reports

@@ -92,3 +92,39 @@ def generational_distance(points, true_front) -> float:
     diffs = pts[:, None, :] - front[None, :, :]
     nearest = np.sqrt(np.sum(diffs**2, axis=2)).min(axis=1)
     return float(np.mean(nearest))
+
+
+def _count(points) -> float:
+    return float(len(points))
+
+
+# The one table of front measures.  Name -> (function, the input it takes
+# after the points, or None), in the order metrics.csv and ``coopt metrics``
+# list them.
+MEASURES = {
+    "hypervolume": (hypervolume, "reference"),
+    "hypervolume complement": (hypervolume_complement, "reference"),
+    "area": (area_trapezoid, None),
+    "average distance": (average_distance, "utopia"),
+    "generational distance": (generational_distance, "front"),
+    "non-dominated points": (_count, None),
+}
+
+
+def front_measures(points, reference=None, utopia=None,
+                   front=None) -> dict[str, float]:
+    """Every measure in ``MEASURES`` whose input is not None, in that order.
+
+    Points with other than two objectives get only the point count, since
+    the other measures are bi-objective.
+    """
+    if np.shape(points)[1:] != (2,):
+        return {"non-dominated points": _count(points)}
+    inputs = {"reference": reference, "utopia": utopia, "front": front}
+    row = {}
+    for name, (measure, needs) in MEASURES.items():
+        if needs is None:
+            row[name] = measure(points)
+        elif inputs[needs] is not None:
+            row[name] = measure(points, inputs[needs])
+    return row

@@ -17,7 +17,6 @@ from coopt.core import Domain, Problem, VarKind, uniform_box
 # Per-dimension minimum of rastrigin + 0.5*(d - 0.25)^2, found numerically;
 # the function is separable so the n-dimensional optimum is n times this.
 _RIDGE_BASIN_DIM_MIN = 0.03117143970981
-_RIDGE_BASIN_DIM_ARGMIN = 0.000628482949510
 
 
 def _sphere(point, _params):

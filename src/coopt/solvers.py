@@ -48,10 +48,6 @@ GRADIENT_STEP = 1e-6
 INFEASIBILITY_PENALTY = 0.5
 
 
-class SolverTerminated(Exception):
-    """The run is over: a mailbox the solver depends on was closed."""
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Parameters of one solver instance.
@@ -92,16 +88,14 @@ async def proxy_objective(point: np.ndarray, solver_id: str,
                           priority: int = 1) -> Evaluation:
     """Have the scheduler evaluate one point; block until the result returns.
 
-    A refused request's future raises ``MailboxClosed``.
+    A closed scheduler inbox, or a refused request's future, raises
+    ``MailboxClosed``: the run is over.
     """
     reply = asyncio.get_running_loop().create_future()
     request = EvaluationRequest(freeze_point(point), reply, solver_id, priority)
-    try:
-        await scheduler_inbox.put(
-            Message(MessageKind.EVALUATEPOINT, solver_id, request))
-        return await reply
-    except MailboxClosed as exc:
-        raise SolverTerminated(solver_id) from exc
+    await scheduler_inbox.put(
+        Message(MessageKind.EVALUATEPOINT, solver_id, request))
+    return await reply
 
 
 # ------------------------------------------------------------------ fitness
@@ -451,15 +445,13 @@ async def descend(starts: list[np.ndarray], domain: Domain, obj,
     onto it, so the search keeps jumping to the currently best-known area;
     with no start left it parks on the share channel.  A start is abandoned
     when ``step(obj, point, value, domain)`` returns None or after
-    DESCENT_MAX_ITERATIONS steps.
+    DESCENT_MAX_ITERATIONS steps.  It ends only with the run, by
+    ``MailboxClosed``.
     """
     while True:
         _push_shared(starts, share_inbox)
         while not starts:
-            try:
-                message = await share_inbox.take()
-            except MailboxClosed as exc:
-                raise SolverTerminated("no more starts") from exc
+            message = await share_inbox.take()
             if message.kind is MessageKind.SHAREBEST:
                 starts.append(np.array(message.content.point))
         point = starts.pop()
@@ -529,5 +521,5 @@ async def solver_loop(cfg: SolverConfig, domain: Domain,
             while True:
                 state = await step(state, cfg, domain, rng, evaluate,
                                    _drain_injected(share_inbox))
-    except (SolverTerminated, MailboxClosed):
+    except MailboxClosed:  # the run is over
         return

@@ -16,6 +16,7 @@ from coopt.harness import (
     run_once,
     write_run_dir,
 )
+from coopt.metrics import MEASURES
 from coopt.scheduler import Budget
 from coopt.solvers import SolverConfig
 
@@ -90,7 +91,6 @@ def test_full_explicit_config(tmp_path):
         budget = evaluations:250
         np = 8
         n_evaluators = 1
-        sharing = false
         seed = 17
         repetitions = 3
         output_dir = out/here
@@ -101,7 +101,7 @@ def test_full_explicit_config(tmp_path):
     """))
     assert cfg.budget == Budget.evaluations(250)
     assert cfg.population_size == 8
-    assert (cfg.n_evaluators, cfg.sharing, cfg.seed) == (1, False, 17)
+    assert (cfg.n_evaluators, cfg.seed) == (1, 17)
     assert (cfg.repetitions, cfg.output_dir) == (3, "out/here")
     assert cfg.solvers[0].weight == 0.25
     assert cfg.solvers[0].label == "sd-1"
@@ -123,7 +123,7 @@ def test_full_explicit_config(tmp_path):
     ("problem = sphere-3\nnp = many", "line 2: np must be an integer"),
     ("problem = sphere-3\nbudget = 60000", "line 2: budget must look like"),
     ("problem = sphere-3\nbudget = steps:60000", "line 2"),
-    ("problem = sphere-3\nsharing = maybe", "line 2: sharing must be true"),
+    ("problem = sphere-3\nsharing = false", "line 2: unknown key 'sharing'"),
     ("problem = sphere-3\njust text", "line 2: expected 'key = value'"),
     ("problem = sphere-3\n[something]", "line 2: unknown section"),
     ("problem = sphere-3\n[solver]\nsize = 5",
@@ -135,6 +135,16 @@ def test_full_explicit_config(tmp_path):
      "line 4: omega must be a number"),
     ("problem = sphere-3\n[solver]\nkind = GA\nsize = 5\npriority = 11",
      "line 5: priority must lie in [1, 10]"),
+    ("problem = sphere-3\n[solver]\nkind = SD\nomega = 1.5",
+     "line 4: omega must lie in [0, 1]"),
+    ("problem = sphere-3\n[solver]\nkind = GA\nsize = 0",
+     "line 4: size must be >= 1"),
+    ("problem = sphere-3\npreset = hen-protocol\nn_evaluators = 0",
+     "line 3: n_evaluators must be >= 1"),
+    ("problem = sphere-3\nseed = -1\nnp = 5\nbudget = messages:10\n"
+     "[solver]\nkind = GA", "line 2: seed must be >= 0"),
+    ("problem = sphere-3\npreset = hen-protocol\nrepetitions = 0",
+     "line 3: repetitions must be >= 1"),
 ])
 def test_config_errors_cite_lines(tmp_path, text, fragment):
     lines = [ln.strip() for ln in text.splitlines()]
@@ -384,31 +394,36 @@ def test_cli_presets(capsys):
     assert "hen-protocol" in out and "mutas-protocol" in out
 
 
-def test_cli_run_and_report_round_trip(tmp_path, capsys):
+@pytest.mark.parametrize("head, n_obj", [
+    (["problem = sphere-3", "budget = messages:400", "[solver]", "kind = GA",
+      "size = 5", "[solver]", "kind = CS"], 1),
+    (["problem = biobj-quadratic-2", "budget = evaluations:200", "[solver]",
+      "kind = GA", "size = 5", "[solver]", "kind = SD", "omega = 0.3"], 2),
+], ids=["one-objective", "bi-objective"])
+def test_cli_run_and_report_round_trip(tmp_path, capsys, head, n_obj):
     cfg = write(tmp_path, "\n".join([
-        "problem = sphere-3",
-        "budget = messages:400",
         "np = 5",
         "seed = 4",
         "repetitions = 1",
         f"output_dir = {tmp_path / 'cli'}",
-        "[solver]",
-        "kind = GA",
-        "size = 5",
-        "[solver]",
-        "kind = CS",
-    ]))
+    ] + head))
     assert cli_main(["run", str(cfg)]) == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["runs"] == 2
 
-    run_dir = tmp_path / "cli" / "independent-rep00"
-    originals = {name: (run_dir / name).read_bytes()
-                 for name in ("trace.csv", "archive.csv")}
-    assert cli_main(["report", str(run_dir)]) == 0
-    capsys.readouterr()
-    for name, blob in originals.items():
-        assert (run_dir / name).read_bytes() == blob
+    for mode in ("independent", "cooperating"):
+        run_dir = tmp_path / "cli" / f"{mode}-rep00"
+        originals = {name: (run_dir / name).read_bytes()
+                     for name in ("trace.csv", "archive.csv")}
+        header, *rows = originals["archive.csv"].decode().splitlines()
+        assert header.count(",z") == n_obj
+        assert len(rows) == 1 if n_obj == 1 else len(rows) > 1
+        for name in originals:
+            (run_dir / name).unlink()
+        assert cli_main(["report", str(run_dir)]) == 0
+        capsys.readouterr()
+        for name, blob in originals.items():
+            assert (run_dir / name).read_bytes() == blob
 
 
 def test_cli_run_rejects_bad_config(tmp_path, capsys):
@@ -445,6 +460,14 @@ def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
                                      "preset = hen-protocol\n"
                                      "output_dir = notadir\n"},
      "File exists: 'notadir'"),
+    (["report", "."], {"trace.csv": "old\n", "archive.csv": "old\n",
+                       "report.json": json.dumps({  # a trace row, no "g"
+                           "trace": [{"seq": 1, "messages": 2,
+                                      "dispatches": 1, "z": [0.5],
+                                      "instance_label": "ga", "class": "MH"}],
+                           "archive": [{"point": [0.1], "objectives": [0.5],
+                                        "solver_id": "ga", "seq": 1}]})},
+     "KeyError: 'g'"),
 ])
 def test_cli_bad_input_is_an_error_not_a_traceback(tmp_path, monkeypatch,
                                                    capsys, argv, files,
@@ -455,6 +478,8 @@ def test_cli_bad_input_is_an_error_not_a_traceback(tmp_path, monkeypatch,
     assert cli_main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and fragment in err
+    for name, text in files.items():  # a failed command writes no file
+        assert (tmp_path / name).read_text(encoding="utf-8") == text
 
 
 def test_cli_metrics_reads_archive(tmp_path, capsys):
@@ -472,3 +497,11 @@ def test_cli_metrics_reads_archive(tmp_path, capsys):
     assert float(rows["hypervolume complement"]) == pytest.approx(0.25)
     assert float(rows["generational distance"]) == 0.0
     assert float(rows["non-dominated points"]) == 2.0
+    assert list(rows) == list(MEASURES)
+
+    single = tmp_path / "single.csv"  # one objective: only the count
+    single.write_text("d1,d2,z1,g,solver_id,seq\n0.5,0.25,0.3125,-1.0,cs,7\n")
+    assert cli_main(["metrics", str(single), "--ref", "1,1",
+                     "--utopia", "0,0"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "measure,value", "non-dominated points,1.0"]

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from coopt.metrics import (
+    MEASURES,
     area_trapezoid,
     average_distance,
+    front_measures,
     generational_distance,
     hypervolume,
     hypervolume_complement,
@@ -161,3 +163,41 @@ def test_all_metrics_order_invariant():
         == pytest.approx(average_distance(pts[perm], (0.0, 0.0)), abs=1e-12)
     assert generational_distance(pts, front) \
         == pytest.approx(generational_distance(pts[perm], front), abs=1e-12)
+
+
+# ---------------------------------------------------------- measure table
+
+def test_front_measures_lists_every_measure_in_table_order():
+    pts = [(0.0, 0.5), (0.5, 0.0), (0.25, 0.25)]
+    front = [(0.0, 0.5), (0.5, 0.0)]
+    row = front_measures(pts, reference=(1.0, 1.0), utopia=(0.0, 0.0),
+                         front=front)
+    assert list(row) == list(MEASURES)
+    assert row == {
+        "hypervolume": hypervolume(pts, (1.0, 1.0)),
+        "hypervolume complement": hypervolume_complement(pts, (1.0, 1.0)),
+        "area": area_trapezoid(pts),
+        "average distance": average_distance(pts, (0.0, 0.0)),
+        "generational distance": generational_distance(pts, front),
+        "non-dominated points": 3.0,
+    }
+
+
+@pytest.mark.parametrize("given, omitted", [
+    ({}, {"hypervolume", "hypervolume complement", "average distance",
+          "generational distance"}),
+    ({"reference": (1.0, 1.0)}, {"average distance",
+                                 "generational distance"}),
+    ({"utopia": (0.0, 0.0)}, {"hypervolume", "hypervolume complement",
+                              "generational distance"}),
+    ({"front": [(0.0, 0.5)]}, {"hypervolume", "hypervolume complement",
+                               "average distance"}),
+])
+def test_front_measures_omits_a_measure_whose_input_is_none(given, omitted):
+    row = front_measures([(0.0, 0.5), (0.5, 0.0)], **given)
+    assert list(row) == [m for m in MEASURES if m not in omitted]
+
+
+def test_front_measures_of_one_objective_is_the_count():
+    assert front_measures([(0.5,), (0.25,)], reference=(1.0, 1.0)) \
+        == {"non-dominated points": 2.0}

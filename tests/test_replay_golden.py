@@ -18,8 +18,15 @@ The last two were recorded before the per-evaluation trims (the clip,
   rounding branch and the coordinate search's integer axis search.
 
 ``BENCH_GOLDEN`` holds the benchmark's three workloads at full budget, as
-``bench/workloads.build_config(name, 1)`` builds them, repetition 0.  Their
-hashes were recorded before the solver-kind table and its two drivers.
+``bench/workloads.build_config(name, 1)`` builds them, at repetitions 0 and
+1.  The repetition-0 hashes were recorded before the solver-kind table and
+its two drivers, the repetition-1 ones before the run-directory row record.
+
+``EXPERIMENT_GOLDEN`` holds a two-repetition ``run_experiment`` per
+objective count: every file it writes (``boxplot.csv`` or ``metrics.csv``,
+and each run's four files), with ``report.json``'s ``wall_time`` removed.
+Those hashes were recorded before the run-directory row record and the
+measure table.
 
 A change that alters any message, its order, or the written outputs breaks
 them.  A change that alters outputs on purpose must say why and record the
@@ -28,11 +35,18 @@ new hashes.
 
 import hashlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
 
-from coopt.harness import RunConfig, preset_config, run_once, write_run_dir
+from coopt.harness import (
+    RunConfig,
+    preset_config,
+    run_experiment,
+    run_once,
+    write_run_dir,
+)
 from coopt.scheduler import Budget
 from coopt.solvers import SolverConfig
 
@@ -59,14 +73,29 @@ GOLDEN = {
     ("hen-protocol", "mixed-int-quadratic-6", 6_000, True):
         "a6a37970dee2bc0833817d8974bc41804d89004064370a9f0d13095096182481",
 }
-BENCH_GOLDEN = {
-    "hen-sphere10":
+BENCH_GOLDEN = {  # name -> (repetition 0, repetition 1)
+    "hen-sphere10": (
         "199ca92db6a150a20268db7c1d801912804dde2549d1d588f1527cabbe6804a6",
-    "mutas-biobj5-5k":
+        "c78de778b1eea40c115aa1eccf95b7688aa7cbe84dba25042c9d71bacc93ff86"),
+    "mutas-biobj5-5k": (
         "3c7c517629766e022db3a9ea0c59ac0739ef566097c9568863bc95cb4c262d87",
-    "hen-ridge10-prio":
+        "1c69af7183b25a3d013cf6402243aebb8d9ceca0572ecf535e860c66d946fe69"),
+    "hen-ridge10-prio": (
         "5a733ade54e9d5f49c3bf9793990f395041708fa91dd70a6a87a7d925acb36ee",
+        "8c31bd1ff0d24816a07f7744c877f16b289930941c1c01c70fde42afc2a9a8ad"),
 }
+# problem -> (preset, budget); seed SEED, repetitions 2
+EXPERIMENTS = {
+    "sphere-3": ("hen-protocol", Budget.messages(600)),
+    "biobj-quadratic-2": ("mutas-protocol", Budget.evaluations(300)),
+}
+EXPERIMENT_GOLDEN = {
+    "sphere-3":
+        "b243bfb73d132cdf094cbabadf8d43a2444fbdfe15bd423c596ccfc6faf107ef",
+    "biobj-quadratic-2":
+        "2a3b28782cfd32a8dba5c2f192578f06a40c0e5d1ffcab1cc12ad60136d90e17",
+}
+WALL_TIME = re.compile(rb', "wall_time": [-+.e0-9]+')
 LADDER = (("GA", 10, "ga-small", 1), ("GA", 50, "ga-large", 3),
           ("PPA", 5, "ppa-small", 5), ("PPA", 20, "ppa-large", 7),
           ("SD", 1, "sd", 9), ("CS", 1, "cs", 10))
@@ -102,8 +131,8 @@ def _workloads():
     return module
 
 
-def _digest(cfg: RunConfig, tmp_path) -> str:
-    run_dir = write_run_dir(tmp_path, run_once(cfg, 0))
+def _digest(cfg: RunConfig, tmp_path, rep_index: int = 0) -> str:
+    run_dir = write_run_dir(tmp_path, run_once(cfg, rep_index))
     digest = hashlib.sha256()
     for name in ("trace.csv", "archive.csv", "events.log"):
         digest.update((run_dir / name).read_bytes())
@@ -118,4 +147,28 @@ def test_outputs_match_golden_hash(tmp_path, case):
 @pytest.mark.parametrize("name", list(BENCH_GOLDEN))
 def test_bench_workload_matches_golden_hash(tmp_path, name):
     cfg = _workloads().build_config(name, 1)
-    assert _digest(cfg, tmp_path) == BENCH_GOLDEN[name]
+    for rep_index, golden in enumerate(BENCH_GOLDEN[name]):
+        assert _digest(cfg, tmp_path / str(rep_index), rep_index) == golden
+
+
+def _experiment_digest(problem: str, out) -> str:
+    """SHA-256 over every file ``run_experiment`` writes, by relative path."""
+    preset, budget = EXPERIMENTS[problem]
+    run_experiment(preset_config(preset, problem, budget=budget,
+                                 population_size=6, seed=SEED,
+                                 repetitions=2, output_dir=str(out)))
+    digest = hashlib.sha256()
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        blob = path.read_bytes()
+        if path.name == "report.json":
+            blob, found = WALL_TIME.subn(b"", blob)
+            assert found == 1
+        digest.update(path.relative_to(out).as_posix().encode() + b"\0")
+        digest.update(blob)
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("problem", list(EXPERIMENT_GOLDEN))
+def test_experiment_outputs_match_golden_hash(tmp_path, problem):
+    assert _experiment_digest(problem, tmp_path / "out") \
+        == EXPERIMENT_GOLDEN[problem]

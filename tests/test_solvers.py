@@ -12,7 +12,6 @@ from coopt.solvers import (
     INFEASIBILITY_PENALTY,
     SOLVER_KINDS,
     SolverConfig,
-    SolverTerminated,
     SwarmMember,
     assign_fitness,
     cs_step,
@@ -141,7 +140,7 @@ def test_proxy_after_shutdown_raises_terminate():
     async def go():
         inbox = Mailbox(4, name="scheduler")
         inbox.close()
-        with pytest.raises(SolverTerminated):
+        with pytest.raises(MailboxClosed):
             await proxy_objective(np.array([0.0, 0.0]), "s", inbox)
 
     run(go())
@@ -156,7 +155,7 @@ def test_refused_request_raises_terminate():
             request.reply.set_exception(MailboxClosed(request.solver_id))
 
         task = asyncio.ensure_future(refusing_scheduler())
-        with pytest.raises(SolverTerminated):
+        with pytest.raises(MailboxClosed):
             await asyncio.wait_for(
                 proxy_objective(np.array([0.0, 0.0]), "s", inbox), timeout=5)
         await task
@@ -553,7 +552,7 @@ def test_sd_converges_on_convex_quadratic():
     obj, trace = make_obj(lambda d: float(np.sum((d - target) ** 2)))
 
     async def go():
-        with pytest.raises(SolverTerminated):
+        with pytest.raises(MailboxClosed):
             await descend([np.array([4.0, 4.0])], BOX5, obj,
                           closed_share(), sd_step)
 
@@ -568,7 +567,7 @@ def test_sd_takes_shared_start_first():
 
     async def go():
         share = closed_share(preload=[ev(shared_point, 12.5)])
-        with pytest.raises(SolverTerminated):
+        with pytest.raises(MailboxClosed):
             await descend([np.array([-4.0, -4.0])], BOX5, obj,
                           share, sd_step)
 
@@ -583,7 +582,7 @@ def test_sd_descent_from_optimum_stops_immediately():
 
     async def go():
         # LIFO: the optimum was pushed last, so it is attempted first.
-        with pytest.raises(SolverTerminated):
+        with pytest.raises(MailboxClosed):
             await descend([far, optimum], BOX5, obj, closed_share(), sd_step)
 
     run(go())
@@ -598,7 +597,7 @@ def test_cs_solves_separable_quadratic():
     obj, trace = make_obj(lambda d: float(np.sum((d - target) ** 2)))
 
     async def go():
-        with pytest.raises(SolverTerminated):
+        with pytest.raises(MailboxClosed):
             await descend([np.array([-3.0, 3.0])], BOX5, obj,
                           closed_share(), cs_step)
 
@@ -611,7 +610,7 @@ def test_cs_at_optimum_does_not_move():
     obj, trace = make_obj(lambda d: float(np.sum(d**2)))
 
     async def go():
-        with pytest.raises(SolverTerminated):
+        with pytest.raises(MailboxClosed):
             await descend([np.array([0.0, 0.0])], BOX5, obj,
                           closed_share(), cs_step)
 
@@ -625,7 +624,7 @@ def test_cs_improves_on_coupled_ridge():
         lambda d: (d[0] - d[1]) ** 2 + 0.01 * d[0] ** 2)
 
     async def go():
-        with pytest.raises(SolverTerminated):
+        with pytest.raises(MailboxClosed):
             await descend([np.array([1.0, 1.0])], BOX5, obj,
                           closed_share(), cs_step)
 
@@ -640,7 +639,7 @@ def test_cs_integer_dimension_searches_integer_steps():
     obj, trace = make_obj(lambda d: (d[0] - 0.5) ** 2 + (d[1] - 7.0) ** 2)
 
     async def go():
-        with pytest.raises(SolverTerminated):
+        with pytest.raises(MailboxClosed):
             await descend([np.array([0.0, 2.0])], domain, obj,
                           closed_share(), cs_step)
 
