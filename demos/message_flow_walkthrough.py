@@ -100,31 +100,32 @@ PROBLEM = registry_get("sphere-3")
 
 
 async def shrinking_search(solver_id, scheduler_inbox, share_mb, seed):
-    """Random search that recentres on broadcasts and shrinks on success."""
+    """Random search that recentres on broadcasts and shrinks on success.
+
+    Like every agent it ends by ``MailboxClosed`` at shutdown, and
+    ``run_agents`` judges that a normal end.
+    """
     rng = np.random.default_rng(seed)
     centre = rng.uniform(-5.0, 5.0, 3)
     radius = 5.0
     best = None
-    try:
-        while True:
+    while True:
+        message = share_mb.take_nowait()
+        while message is not None:          # adopt the latest broadcast
+            incoming = message.content
+            if best is None or incoming.objectives < best.objectives:
+                best, centre = incoming, np.asarray(incoming.point)
             message = share_mb.take_nowait()
-            while message is not None:          # adopt the latest broadcast
-                incoming = message.content
-                if best is None or incoming.objectives < best.objectives:
-                    best, centre = incoming, np.asarray(incoming.point)
-                message = share_mb.take_nowait()
-            trial = PROBLEM.domain.clip(
-                centre + rng.normal(0.0, radius, 3))
-            reply = asyncio.get_running_loop().create_future()
-            await scheduler_inbox.put(Message(
-                MessageKind.EVALUATEPOINT, solver_id,
-                EvaluationRequest(freeze_point(trial), reply, solver_id)))
-            evaluation = await reply  # MailboxClosed if refused at shutdown
-            if best is None or evaluation.objectives < best.objectives:
-                best, centre = evaluation, trial
-                radius = max(radius * 0.7, 1e-3)
-    except MailboxClosed:
-        return
+        trial = PROBLEM.domain.clip(
+            centre + rng.normal(0.0, radius, 3))
+        reply = asyncio.get_running_loop().create_future()
+        await scheduler_inbox.put(Message(
+            MessageKind.EVALUATEPOINT, solver_id,
+            EvaluationRequest(freeze_point(trial), reply, solver_id)))
+        evaluation = await reply  # MailboxClosed if refused at shutdown
+        if best is None or evaluation.objectives < best.objectives:
+            best, centre = evaluation, trial
+            radius = max(radius * 0.7, 1e-3)
 
 
 def full_run():

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NoReturn, Optional
 
 from coopt.core import Evaluation, dominates, pareto_key
 from coopt.messaging import Mailbox, MailboxClosed, Message, MessageKind
@@ -142,19 +142,17 @@ def _insert_into_front(archive: Archive, evaluation: Evaluation) -> bool:
 
 
 async def analysis_loop(inbox: Mailbox, scheduler_inbox: Mailbox,
-                        archive: Archive) -> Archive:
+                        archive: Archive) -> NoReturn:
     """Consume evaluation results until shutdown; answer archive queries.
 
     Improvement notifications stop (but processing continues) once the
     scheduler's inbox has been closed — that only happens during teardown,
     when the final RETRIEVEBEST/STATISTICSBEST exchange is still pending.
+    Its closed and drained inbox ends it by ``MailboxClosed``, its normal end.
     """
     notify = True
     while True:
-        try:
-            message = await inbox.take()
-        except MailboxClosed:
-            return archive
+        message = await inbox.take()
         if message.kind is MessageKind.ANALYSESOLUTION:
             improved = update_archive(archive, message.content)
             if improved and notify:

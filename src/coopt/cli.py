@@ -78,11 +78,13 @@ def _cmd_metrics(args) -> int:
     points = _read_objectives(args.archive)
     if not points:
         raise InputError("archive is empty")
-    measures = front_measures(
-        points,
-        reference=_parse_point(args.ref, "--ref") if args.ref else None,
-        utopia=_parse_point(args.utopia, "--utopia") if args.utopia else None,
-        front=_read_objectives(args.front) if args.front else None)
+    reference = _parse_point(args.ref, "--ref") if args.ref else None
+    utopia = _parse_point(args.utopia, "--utopia") if args.utopia else None
+    front = _read_objectives(args.front) if args.front else None
+    try:
+        measures = front_measures(points, reference, utopia, front)
+    except ValueError as exc:  # a --front without two z columns, or empty
+        raise InputError(exc) from None
     writer = csv.writer(sys.stdout)
     writer.writerow(["measure", "value"])
     for measure, value in measures.items():

@@ -3,16 +3,16 @@
 Each evaluator loops: announce availability to the scheduler, wait for a
 point, evaluate the model, send the result both to the asking solver's
 reply future and to the analysis agent.  A closed mailbox at any blocking
-step means the run is over and the agent exits quietly.
+step ends the agent by ``MailboxClosed``, its normal end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NoReturn
 
 from coopt.core import Problem, evaluate_model
-from coopt.messaging import Mailbox, MailboxClosed, Message, MessageKind
+from coopt.messaging import Mailbox, Message, MessageKind
 
 
 @dataclass
@@ -39,20 +39,17 @@ class EvaluatorStats:
 async def evaluator_loop(evaluator_id: str, problem: Problem,
                          scheduler_inbox: Mailbox, analysis_inbox: Mailbox,
                          own_mailbox: Mailbox, seq: Iterator[int],
-                         stats: EvaluatorStats) -> None:
-    """Serve evaluation requests until any channel closes.
+                         stats: EvaluatorStats) -> NoReturn:
+    """Serve evaluation requests until a channel closes (``MailboxClosed``).
 
     ``seq`` is shared by all evaluators of a run and numbers evaluations
     globally in completion order.
     """
     while True:
-        try:
-            await scheduler_inbox.put(
-                Message(MessageKind.REQUESTPOINT, evaluator_id, evaluator_id))
-            stats.requests += 1
-            message = await own_mailbox.take()
-        except MailboxClosed:
-            return
+        await scheduler_inbox.put(
+            Message(MessageKind.REQUESTPOINT, evaluator_id, evaluator_id))
+        stats.requests += 1
+        message = await own_mailbox.take()
         request = message.content
         evaluation = evaluate_model(problem, request.point,
                                     solver_id=request.solver_id,
@@ -61,9 +58,6 @@ async def evaluator_loop(evaluator_id: str, problem: Problem,
         if not request.reply.done():  # a cancelled solver no longer listens
             request.reply.set_result(evaluation)
             stats.replies_delivered += 1
-        try:
-            await analysis_inbox.put(
-                Message(MessageKind.ANALYSESOLUTION, evaluator_id, evaluation))
-            stats.analysis_sent += 1
-        except MailboxClosed:
-            return
+        await analysis_inbox.put(
+            Message(MessageKind.ANALYSESOLUTION, evaluator_id, evaluation))
+        stats.analysis_sent += 1

@@ -38,7 +38,7 @@ import csv
 import itertools
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
@@ -48,7 +48,7 @@ import numpy as np
 from coopt.analysis import MULTI, SINGLE, Archive, analysis_loop
 from coopt.core import Problem
 from coopt.evaluator import EvaluatorStats, evaluator_loop
-from coopt.messaging import Mailbox
+from coopt.messaging import Mailbox, MailboxClosed
 from coopt.metrics import MEASURES, front_measures
 from coopt.problems import front_samples, registry_get
 from coopt.scheduler import Budget, SchedulerState, ignore_event, scheduler_loop
@@ -104,15 +104,15 @@ class RunReport:
     mode: str
     rep_index: int
     sharing: bool
-    archive: Optional[Archive] = None
-    trace: list[dict] = field(default_factory=list)
-    per_solver_evaluations: dict[str, int] = field(default_factory=dict)
-    counters: dict = field(default_factory=dict)
-    metrics_row: Optional[dict] = None
-    wall_time: float = 0.0
-    valid: bool = True
-    error: str = ""
-    events: list[dict] = field(default_factory=list)
+    archive: Optional[Archive]  # None if the run was aborted
+    trace: list[dict]
+    per_solver_evaluations: dict[str, int]
+    counters: dict
+    metrics_row: Optional[dict]
+    wall_time: float
+    valid: bool
+    error: str
+    events: list[dict]
 
     def best_value(self) -> Optional[float]:
         if self.archive is None or self.archive.best is None:
@@ -399,20 +399,34 @@ def wire(problem: Problem, solver_labels, n_evaluators: int, budget: Budget,
                    *share_mbs.values()])
 
 
-async def run_agents(agents: Agents, solvers) -> tuple[Archive, list]:
+async def run_agents(agents: Agents, solvers) -> tuple[Archive | None, list]:
     """Start analysis, evaluators, scheduler, then solvers; run to budget.
 
-    ``solvers`` are the solver coroutines, not yet started.  Returns the
-    final archive and the exceptions any agent ended with.  The evaluator
-    records, then one ledger record per mailbox, go to the events sink.
+    ``solvers`` are the solver coroutines, not yet started.  The one judge
+    of how an agent ends: returning, being cancelled and (but for the
+    scheduler) ``MailboxClosed`` are normal; the first task to end any other
+    way cancels every task.  Returns the final archive (None if aborted) and
+    the abnormal endings' exceptions.  The evaluator records, then one
+    ledger record per mailbox, go to the events sink.
     """
     state = agents.state
     tasks = [asyncio.ensure_future(c) for c in agents.coroutines]
     scheduler_task = asyncio.ensure_future(scheduler_loop(state))
-    tasks += [asyncio.ensure_future(s) for s in solvers]
-    archive = await scheduler_task
-    results = await asyncio.gather(*tasks, return_exceptions=True)
-    errors = [r for r in results if isinstance(r, BaseException)]
+    tasks += [scheduler_task] + [asyncio.ensure_future(s) for s in solvers]
+    errors: list[BaseException] = []
+
+    def judge(task: asyncio.Task) -> None:
+        exc = None if task.cancelled() else task.exception()
+        if exc is not None and (task is scheduler_task
+                                or not isinstance(exc, MailboxClosed)):
+            errors.append(exc)
+            for other in tasks:
+                other.cancel()
+
+    for task in tasks:
+        task.add_done_callback(judge)
+    await asyncio.gather(*tasks, return_exceptions=True)
+    archive = None if errors else scheduler_task.result()
 
     for evaluator_stats in agents.stats.values():
         state.events(evaluator_stats.record())
@@ -422,7 +436,7 @@ async def run_agents(agents: Agents, solvers) -> tuple[Archive, list]:
 
 
 def run_once(cfg: RunConfig, rep_index: int) -> RunReport:
-    """Run one full agent system to its budget and collect the report."""
+    """Run one agent system to its budget (or abort) and report on it."""
     problem = registry_get(cfg.problem)
     population_rng, solver_seeds = _derive_seeds(cfg, rep_index)
     initial_points = problem.domain.random_population(
@@ -432,21 +446,17 @@ def run_once(cfg: RunConfig, rep_index: int) -> RunReport:
     labels = [sc.label for sc in solver_cfgs]
     classes = {sc.label: sc.solver_class for sc in solver_cfgs}
 
-    events: list[dict] = []
-    report = RunReport(problem=cfg.problem, rep_index=rep_index,
-                       sharing=cfg.sharing,
-                       mode="cooperating" if cfg.sharing else "independent",
-                       events=events)
-    events.append({
+    mode = "cooperating" if cfg.sharing else "independent"
+    events: list[dict] = [{
         "event": "run-start",
         "problem": cfg.problem,
-        "mode": report.mode,
+        "mode": mode,
         "rep_index": rep_index,
         "np": cfg.population_size,
         "solvers": labels,
         "initial_population": [[float(v) for v in p]
                                for p in initial_points],
-    })
+    }]
     started = time.perf_counter()
     agents = wire(problem, labels, cfg.n_evaluators, cfg.budget,
                   cfg.sharing, events.append)
@@ -454,37 +464,32 @@ def run_once(cfg: RunConfig, rep_index: int) -> RunReport:
     solvers = [solver_loop(sc, problem.domain, initial_points, state.inbox,
                            state.share_mailboxes[sc.label], events.append)
                for sc in solver_cfgs]
-    try:
-        snapshot, errors = asyncio.run(run_agents(agents, solvers))
-    except Exception as exc:  # agent panic: abort run, flag the report
-        report.valid = False
-        report.error = f"{type(exc).__name__}: {exc}"
-        report.wall_time = time.perf_counter() - started
-        return report
-    report.wall_time = time.perf_counter() - started
+    snapshot, errors = asyncio.run(run_agents(agents, solvers))
+    wall_time = time.perf_counter() - started
 
-    if errors:
-        report.valid = False
-        report.error = "; ".join(
-            f"{type(e).__name__}: {e}" for e in errors)
-    report.archive = snapshot
-    report.counters = state.counters()
-    report.trace = [
-        {
-            "seq": e["seq"],
-            "messages": e["messages"],
-            "dispatches": e["dispatches"],
-            "z": e["z"],
-            "instance_label": e["solver"],
-            "class": classes[e["solver"]],
-        }
-        for e in events if e.get("event") == "improvement"
-    ]
-    report.per_solver_evaluations = dict(state.dispatches_per_solver)
-    if problem.n_obj > 1 and snapshot.front:
-        report.metrics_row = front_metrics(
+    metrics_row = None
+    if problem.n_obj > 1 and snapshot is not None and snapshot.front:
+        metrics_row = front_metrics(
             [e.objectives for e in snapshot.front], cfg.problem)
-    return report
+    return RunReport(
+        problem=cfg.problem, mode=mode, rep_index=rep_index,
+        sharing=cfg.sharing, archive=snapshot,
+        trace=[
+            {
+                "seq": e["seq"],
+                "messages": e["messages"],
+                "dispatches": e["dispatches"],
+                "z": e["z"],
+                "instance_label": e["solver"],
+                "class": classes[e["solver"]],
+            }
+            for e in events if e.get("event") == "improvement"
+        ],
+        per_solver_evaluations=dict(state.dispatches_per_solver),
+        counters=state.counters(), metrics_row=metrics_row,
+        wall_time=wall_time, valid=not errors,
+        error="; ".join(f"{type(e).__name__}: {e}" for e in errors),
+        events=events)
 
 
 def front_metrics(objective_points, problem_name: str) -> dict:
@@ -646,15 +651,17 @@ def run_experiment(cfg: RunConfig) -> dict:
     problem = registry_get(cfg.problem)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    reports: dict[str, list[RunReport]] = {mode: [] for mode, _ in MODES}
+    # Per mode, (best, metrics row) of each run; a failed run has neither.
+    kept: dict[str, list[tuple]] = {mode: [] for mode, _ in MODES}
     failures: list[str] = []
     for mode, sharing in MODES:
         for rep in range(cfg.repetitions):
             report = run_once(replace(cfg, sharing=sharing), rep)
             write_run_dir(out / f"{mode}-rep{rep:02d}", report)
-            reports[mode].append(report)
+            kept[mode].append((report.best_value(), report.metrics_row))
             if not report.valid:
                 failures.append(f"{mode}-rep{rep:02d}: {report.error}")
+            del report  # a hen run's ~30k events: not held over the next run
 
     summary = {
         "problem": cfg.problem,
@@ -664,9 +671,8 @@ def run_experiment(cfg: RunConfig) -> dict:
     }
     if problem.n_obj == 1:
         bests = {
-            mode: [r.best_value() for r in mode_reports
-                   if r.valid and r.best_value() is not None]
-            for mode, mode_reports in reports.items()
+            mode: [best for best, _row in runs if best is not None]
+            for mode, runs in kept.items()
         }
         write_boxplot_csv(out / "boxplot.csv", bests)
         summary["boxplot"] = str(out / "boxplot.csv")
@@ -678,10 +684,9 @@ def run_experiment(cfg: RunConfig) -> dict:
         rows: dict[str, dict[str, float]] = {}
         for measure in MEASURES:
             by_mode = {}
-            for mode, mode_reports in reports.items():
-                values = [r.metrics_row[measure] for r in mode_reports
-                          if r.valid and r.metrics_row
-                          and measure in r.metrics_row]
+            for mode, runs in kept.items():
+                values = [row[measure] for _best, row in runs
+                          if row and measure in row]
                 if values:
                     by_mode[mode] = float(np.median(values))
             if by_mode:

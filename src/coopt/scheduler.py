@@ -144,7 +144,8 @@ async def scheduler_loop(state: SchedulerState) -> Any:
     Every received message counts toward a message-typed budget; every
     EVALUATEPOINT handed to an evaluator counts toward an evaluation-typed
     budget (that cap is exact: dispatch stops at the limit and queued
-    requests are refused during shutdown).
+    requests are refused during shutdown).  Unlike the other agents, the
+    scheduler's one normal end is to return.
     """
     while not _exhausted(state):
         message = await state.inbox.take()
@@ -186,14 +187,11 @@ def _handle(state: SchedulerState, message: Message) -> None:
 
 
 def _broadcast(state: SchedulerState, evaluation) -> None:
-    delivered = 0
-    for solver_id, share_mb in state.share_mailboxes.items():
-        try:
-            share_mb.put_drop_oldest(
-                Message(MessageKind.SHAREBEST, "scheduler", evaluation))
-            delivered += 1
-        except MailboxClosed:
-            continue
+    message = Message(MessageKind.SHAREBEST, "scheduler", evaluation)
+    # No ring is closed yet: ``_shutdown`` stops sharing before closing them.
+    for share_mb in state.share_mailboxes.values():
+        share_mb.put_drop_oldest(message)
+    delivered = len(state.share_mailboxes)
     state.broadcasts += delivered
     state.events({"event": "broadcast", "seq": evaluation.seq,
                   "delivered": delivered})

@@ -22,12 +22,12 @@ import asyncio
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NoReturn, Optional
 
 import numpy as np
 
 from coopt.core import Domain, Evaluation, dominates, freeze_point, pareto_key
-from coopt.messaging import Mailbox, MailboxClosed, Message, MessageKind
+from coopt.messaging import Mailbox, Message, MessageKind
 from coopt.scheduler import P_MAX, EvaluationRequest, ignore_event
 
 CROSSOVER_RATE = 0.9
@@ -438,7 +438,7 @@ def _push_shared(starts: list, share_inbox: Mailbox) -> None:
 
 
 async def descend(starts: list[np.ndarray], domain: Domain, obj,
-                  share_inbox: Mailbox, step) -> None:
+                  share_inbox: Mailbox, step) -> NoReturn:
     """The DS driver: multi-start descent with one kind's ``step``.
 
     The start list is a stack: shared solutions arriving mid-run are pushed
@@ -479,13 +479,15 @@ SOLVER_KINDS = {
 async def solver_loop(cfg: SolverConfig, domain: Domain,
                       initial_points: list[np.ndarray],
                       scheduler_inbox: Mailbox, share_inbox: Mailbox,
-                      events: Callable[[dict], None] = ignore_event) -> None:
+                      events: Callable[[dict], None] = ignore_event,
+                      ) -> NoReturn:
     """Run one solver instance until the scheduler shuts the system down.
 
     Every solver receives the same ``initial_points`` (the shared initial
     population).  An MH solver evaluates them and steps one generation at a
     time, each with the shared solutions that arrived since the last; a DS
-    solver hands them to ``descend`` as its stack of starts.
+    solver hands them to ``descend`` as its stack of starts.  It ends by
+    ``MailboxClosed``, its normal end, when the shutdown reaches it.
     """
     solver_class, step, start = SOLVER_KINDS[cfg.kind]
     rng = np.random.default_rng(cfg.seed)
@@ -510,16 +512,13 @@ async def solver_loop(cfg: SolverConfig, domain: Domain,
     async def obj(point) -> float:
         return ds_objective(await evaluate(point), cfg.weight)
 
-    try:
-        if solver_class == "DS":
-            await descend([np.array(p) for p in initial_points], domain, obj,
-                          share_inbox, step)
-        else:
-            state = [await evaluate(p) for p in initial_points]
-            if start is not None:
-                state = await start(state, cfg, domain, rng, evaluate)
-            while True:
-                state = await step(state, cfg, domain, rng, evaluate,
-                                   _drain_injected(share_inbox))
-    except MailboxClosed:  # the run is over
-        return
+    if solver_class == "DS":
+        await descend([np.array(p) for p in initial_points], domain, obj,
+                      share_inbox, step)
+    else:
+        state = [await evaluate(p) for p in initial_points]
+        if start is not None:
+            state = await start(state, cfg, domain, rng, evaluate)
+        while True:
+            state = await step(state, cfg, domain, rng, evaluate,
+                               _drain_injected(share_inbox))

@@ -3,6 +3,7 @@
 import asyncio
 
 import numpy as np
+import pytest
 
 from coopt.analysis import MULTI, SINGLE, Archive, analysis_loop, update_archive
 from coopt.core import Evaluation, freeze_point
@@ -107,7 +108,8 @@ async def _drive(stream, mode=SINGLE):
     await inbox.put(Message(MessageKind.RETRIEVEBEST, "test", reply))
     snapshot = await reply
     inbox.close()
-    await task
+    with pytest.raises(MailboxClosed):  # the agent's normal end
+        await task
     notifications = []
     while (m := sched.take_nowait()) is not None:
         notifications.append(m)
@@ -144,7 +146,8 @@ def test_loop_survives_closed_scheduler_inbox():
         await inbox.put(Message(MessageKind.RETRIEVEBEST, "test", reply))
         snapshot = await reply
         inbox.close()
-        await task
+        with pytest.raises(MailboxClosed):  # the agent's normal end
+            await task
         return snapshot
 
     snapshot = run(go())

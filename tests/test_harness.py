@@ -468,6 +468,9 @@ def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
                            "archive": [{"point": [0.1], "objectives": [0.5],
                                         "solver_id": "ga", "seq": 1}]})},
      "KeyError: 'g'"),
+    (["metrics", "a.csv", "--front", "f.csv"],
+     {"a.csv": "z1,z2\n0.5,0.5\n", "f.csv": "z1\n0.5\n"},
+     "expected an array of (z1, z2) rows"),
 ])
 def test_cli_bad_input_is_an_error_not_a_traceback(tmp_path, monkeypatch,
                                                    capsys, argv, files,

@@ -3,6 +3,14 @@
 import asyncio
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+)
 
 from coopt.messaging import (
     Mailbox,
@@ -233,3 +241,146 @@ def test_multi_producer_per_producer_order():
     for tag in ("a", "b"):
         seq = [i for t, i in received if t == tag]
         assert seq == sorted(seq)
+
+
+class MailboxMachine(RuleBasedStateMachine):
+    """Random interleavings of every ``Mailbox`` operation.
+
+    Blocking puts and takes run as tasks on the machine's own event loop,
+    which runs only when a rule settles it: until every woken task has run.
+    A blocking put or take settles, so its task parks if it must.  The
+    non-blocking operations and waiter cancellation do not, and each may
+    cancel the oldest waiter right after it, so the waiter a wakeup reached
+    can be cancelled before it resumes: the lost-wakeup case.  On copies
+    with that case or a missed wakeup broken, 1000 examples find it in
+    nearly every run.  After every step the ledger
+    holds (puts = takes + drops + queued, and the counters match the
+    operations that succeeded); after a settled step no waiter sleeps
+    while it could proceed.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.loop = asyncio.new_event_loop()
+        self.putters: list[asyncio.Task] = []
+        self.takers: list[asyncio.Task] = []
+        self.sent = 0          # contents handed out, one per put attempt
+        self.put_ok = 0        # puts that appended: tasks and drop-oldest
+        self.taken: list = []  # contents of successful takes
+        self.settled = True
+
+    @initialize(capacity=st.integers(1, 2))
+    def open(self, capacity):
+        self.mb = Mailbox(capacity, name="m")
+
+    @rule()
+    def settle(self) -> None:
+        steps = 4 + 2 * (len(self.putters) + len(self.takers))
+
+        async def spin():
+            for _ in range(steps):
+                await asyncio.sleep(0)
+
+        self.loop.run_until_complete(spin())
+        self.settled = True
+        # Count the waiters that finished; keep the ones still waiting.
+        for task in [t for t in self.putters if t.done()]:
+            self.putters.remove(task)
+            self.put_ok += self._succeeded(task)
+        for task in [t for t in self.takers if t.done()]:
+            self.takers.remove(task)
+            if self._succeeded(task):
+                self.taken.append(task.result().content)
+
+    def _succeeded(self, task: asyncio.Task) -> bool:
+        """True unless cancelled or ended by a closed mailbox."""
+        if task.cancelled():
+            return False
+        if task.exception() is not None:
+            assert isinstance(task.exception(), MailboxClosed)
+            assert self.mb._closed
+            return False
+        return True
+
+    def _next(self):
+        self.sent += 1
+        return msg(self.sent)
+
+    @rule()
+    def put(self):
+        self.putters.append(self.loop.create_task(self.mb.put(self._next())))
+        self.settle()
+
+    @rule()
+    def take(self):
+        self.takers.append(self.loop.create_task(self.mb.take()))
+        self.settle()
+
+    @rule(then_cancel=st.booleans())
+    def put_drop_oldest(self, then_cancel):
+        try:
+            self.mb.put_drop_oldest(self._next())
+            self.put_ok += 1
+        except MailboxClosed:
+            assert self.mb._closed
+        self._unsettled(then_cancel)
+
+    @rule(then_cancel=st.booleans())
+    def take_nowait(self, then_cancel):
+        message = self.mb.take_nowait()
+        if message is not None:
+            self.taken.append(message.content)
+        self._unsettled(then_cancel)
+
+    @rule(then_cancel=st.booleans())
+    def close(self, then_cancel):
+        self.mb.close()
+        self._unsettled(then_cancel)
+
+    @rule()
+    def cancel_oldest_waiter(self):
+        self._unsettled(True)
+
+    def _unsettled(self, cancel: bool) -> None:
+        """Leave the loop unsettled; maybe cancel the oldest waiter first.
+
+        The oldest waiter is the one a wakeup reaches first, so cancelling
+        it right after a wakeup cancels the woken waiter before it resumes.
+        """
+        self.settled = False
+        waiters = self.takers or self.putters
+        if cancel and waiters:
+            waiters[0].cancel()
+
+    @invariant()
+    def ledger_balances(self):
+        mb = self.mb
+        assert mb.puts == mb.takes + mb.drops + len(mb)
+        assert mb.puts == self.put_ok
+        assert mb.takes == len(self.taken)
+        assert len(set(self.taken)) == len(self.taken)  # none taken twice
+        assert 0 <= len(mb) <= mb.capacity
+
+    @invariant()
+    def no_waiter_sleeps_while_it_could_proceed(self):
+        if not self.settled:
+            return
+        if self.takers:
+            assert len(self.mb) == 0 and not self.mb._closed
+        if self.putters:
+            assert len(self.mb) == self.mb.capacity and not self.mb._closed
+
+    def teardown(self):
+        async def cancel_waiters():
+            waiters = self.putters + self.takers
+            for task in waiters:
+                task.cancel()
+            await asyncio.gather(*waiters, return_exceptions=True)
+
+        self.loop.run_until_complete(cancel_waiters())
+        self.loop.close()
+
+
+MailboxMachine.TestCase.settings = settings(
+    max_examples=1000, stateful_step_count=50, deadline=None)
+test_mailbox_state_machine = MailboxMachine.TestCase
