@@ -80,7 +80,9 @@ class Archive:
             raise ValueError(f"unknown archive mode {self.mode!r}")
 
     def __repr__(self) -> str:
-        # Short on purpose: asyncio.run reprs the main task's result on exit.
+        # Short on purpose: a done task's repr shows its result, and
+        # asyncio.run (tests and demos drive run_agents with it) reprs the
+        # main task on exit.
         return f"<Archive {self.mode}: {len(self.members())} members>"
 
     def members(self) -> list[Evaluation]:

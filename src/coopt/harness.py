@@ -45,6 +45,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from coopt import runloop
 from coopt.analysis import MULTI, SINGLE, Archive, analysis_loop
 from coopt.core import Problem
 from coopt.evaluator import EvaluatorStats, evaluator_loop
@@ -436,7 +437,12 @@ async def run_agents(agents: Agents, solvers) -> tuple[Archive | None, list]:
 
 
 def run_once(cfg: RunConfig, rep_index: int) -> RunReport:
-    """Run one agent system to its budget (or abort) and report on it."""
+    """Run one agent system to its budget (or abort) and report on it.
+
+    The agents run on a ``coopt.runloop.RunLoop``.  A run that stalls (every
+    agent waits on another, so nothing can run again) ends like an aborted
+    one, with the message count it stalled at in its error.
+    """
     problem = registry_get(cfg.problem)
     population_rng, solver_seeds = _derive_seeds(cfg, rep_index)
     initial_points = problem.domain.random_population(
@@ -464,7 +470,11 @@ def run_once(cfg: RunConfig, rep_index: int) -> RunReport:
     solvers = [solver_loop(sc, problem.domain, initial_points, state.inbox,
                            state.share_mailboxes[sc.label], events.append)
                for sc in solver_cfgs]
-    snapshot, errors = asyncio.run(run_agents(agents, solvers))
+    try:
+        snapshot, errors = runloop.run(run_agents(agents, solvers))
+    except runloop.Stalled as exc:
+        snapshot, errors = None, [runloop.Stalled(
+            f"the run stalled at message {state.msg_count}: {exc}")]
     wall_time = time.perf_counter() - started
 
     metrics_row = None

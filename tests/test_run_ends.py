@@ -1,13 +1,15 @@
-"""Every way a run ends: normally, or aborted by one agent's failure.
+"""Every way a run ends: normally, aborted by one agent's failure, or stalled.
 
 ``run_agents`` is the one judge of how an agent ends.  A task that
 returns, a task other than the scheduler that ends by ``MailboxClosed``,
 and a cancelled task end normally; the first task to end any other way
 cancels every task, so the run ends with no archive and the exception in
-its errors list.  Each run below is the hen-protocol roster on sphere-3
-at 2000 scheduler messages, bounded to 30 s by ``asyncio.wait_for`` (or a
-thread join, for ``run_once``): a run that hangs fails its test by timeout
-instead of stalling the suite.
+its errors list.  A run in which every agent waits on another ends on
+``run_once``'s loop with ``Stalled``.  Most runs below are the
+hen-protocol roster on sphere-3 at 2000 scheduler messages, each bounded
+to 30 s by ``asyncio.wait_for`` (or a thread join, for ``run_once`` and
+``run_experiment``): a run that hangs fails its test by timeout instead of
+stalling the suite.
 """
 
 import asyncio
@@ -15,6 +17,7 @@ import gc
 import json
 import logging
 import math
+import re
 import threading
 from dataclasses import replace
 
@@ -22,11 +25,11 @@ import numpy as np
 import pytest
 
 import coopt.analysis
-from coopt.harness import (preset_config, run_agents, run_once, wire,
-                           write_run_dir)
+from coopt.harness import (RunConfig, preset_config, run_agents,
+                           run_experiment, run_once, wire, write_run_dir)
 from coopt.problems import registry_get
 from coopt.scheduler import Budget, ignore_event
-from coopt.solvers import SOLVER_KINDS, solver_loop
+from coopt.solvers import SOLVER_KINDS, SolverConfig, solver_loop
 
 CFG = preset_config("hen-protocol", "sphere-3", budget=Budget.messages(2000))
 SPHERE3 = registry_get("sphere-3")
@@ -58,6 +61,22 @@ def run(agents, solvers):
     """``run_agents`` to its end; a run still going after 30 s fails."""
     return asyncio.run(
         asyncio.wait_for(run_agents(agents, solvers), timeout=30))
+
+
+def bounded(call, what):
+    """``call()`` in a thread; a call still going after 30 s fails.
+
+    ``run_once`` runs its own event loop, so a thread bounds it instead of
+    ``asyncio.wait_for``.
+    """
+    results = []
+    thread = threading.Thread(target=lambda: results.append(call()),
+                              daemon=True)
+    thread.start()
+    thread.join(30)
+    assert not thread.is_alive(), f"the {what} hangs"
+    result, = results
+    return result
 
 
 def failing_model(fault, on_call):
@@ -172,14 +191,7 @@ def test_aborted_run_is_flagged_and_written(tmp_path, monkeypatch):
 
     update = coopt.analysis.update_archive
     monkeypatch.setattr(coopt.analysis, "update_archive", broken_update)
-    # run_once runs its own event loop; a thread bounds it instead.
-    reports = []
-    thread = threading.Thread(target=lambda: reports.append(run_once(CFG, 0)),
-                              daemon=True)
-    thread.start()
-    thread.join(30)
-    assert not thread.is_alive(), "the aborted run hangs"
-    report, = reports
+    report = bounded(lambda: run_once(CFG, 0), "aborted run")
     assert not report.valid
     assert report.error.startswith("KeyError: ")
     assert report.archive is None and report.best_value() is None
@@ -210,3 +222,39 @@ def test_no_exception_is_left_unretrieved(caplog, fault):
     assert (archive is None) == bool(errors) == (fault is not None)
     assert not [r.getMessage() for r in caplog.records
                 if r.name == "asyncio"]
+
+
+def test_stalled_run_is_flagged_in_both_modes(tmp_path, caplog):
+    """SD and CS alone park on their share rings and stop asking.
+
+    Nothing is left to run before the budget, in either mode: the run ends
+    flagged, written, and listed under ``failures``, and cancelling its
+    tasks leaves nothing for asyncio to log.
+    """
+    budget = Budget.messages(100_000)
+    cfg = RunConfig(problem="sphere-3", budget=budget,
+                    solvers=(SolverConfig("SD", instance_label="sd"),
+                             SolverConfig("CS", instance_label="cs")),
+                    population_size=2, repetitions=1,
+                    output_dir=str(tmp_path))
+    with caplog.at_level(logging.WARNING, logger="asyncio"):
+        summary = bounded(lambda: run_experiment(cfg), "stalled run")
+        gc.collect()
+    assert not [r.getMessage() for r in caplog.records
+                if r.name == "asyncio"]
+    assert [f.split(":")[0] for f in summary["failures"]] \
+        == ["independent-rep00", "cooperating-rep00"]
+    assert summary["median_best"] == {"independent": None,
+                                      "cooperating": None}
+    for mode in ("independent", "cooperating"):
+        run_dir = tmp_path / f"{mode}-rep00"
+        assert sorted(p.name for p in run_dir.iterdir()) == [
+            "archive.csv", "events.log", "report.json", "trace.csv"]
+        report = json.loads((run_dir / "report.json").read_text())
+        assert not report["valid"] and report["archive"] == []
+        stalled_at = re.fullmatch(
+            r"Stalled: the run stalled at message (\d+): .*", report["error"])
+        messages = report["counters"]["messages"]
+        assert stalled_at and int(stalled_at[1]) == messages
+        assert 0 < messages < budget.limit
+        assert report["trace"]
