@@ -426,14 +426,14 @@ async def run_agents(agents: Agents, solvers) -> tuple[Archive | None, list]:
 
     for task in tasks:
         task.add_done_callback(judge)
-    await asyncio.gather(*tasks, return_exceptions=True)
-    archive = None if errors else scheduler_task.result()
-
-    for evaluator_stats in agents.stats.values():
-        state.events(evaluator_stats.record())
-    for mb in agents.mailboxes:
-        state.events({"event": "mailbox", **mb.stats()})
-    return archive, errors
+    try:
+        await asyncio.gather(*tasks, return_exceptions=True)
+    finally:  # also when the run stalls and the loop cancels this task
+        for evaluator_stats in agents.stats.values():
+            state.events(evaluator_stats.record())
+        for mb in agents.mailboxes:
+            state.events({"event": "mailbox", **mb.stats()})
+    return (None if errors else scheduler_task.result()), errors
 
 
 def run_once(cfg: RunConfig, rep_index: int) -> RunReport:

@@ -26,13 +26,9 @@ def _staircase(points: np.ndarray) -> np.ndarray:
     order = np.lexsort((points[:, 1], points[:, 0]))
     stairs: list[np.ndarray] = []
     for p in points[order]:
-        if not stairs:
+        # Sorted by (z1, z2): a lower z2 than the last step means a larger z1.
+        if not stairs or p[1] < stairs[-1][1]:
             stairs.append(p)
-        elif p[1] < stairs[-1][1]:
-            if p[0] == stairs[-1][0]:
-                stairs[-1] = p
-            else:
-                stairs.append(p)
     return np.array(stairs)
 
 

@@ -1,46 +1,36 @@
 """The event loop a run runs on: one FIFO of ready callbacks, nothing else.
 
-A run has no timers and no I/O: every agent waits only on a future that
-another agent completes.  On such a run asyncio's own loop runs its ready
-callbacks in FIFO order, one batch per iteration, and pays for a selector
-poll and a ``Handle`` per callback on the way.  ``RunLoop`` keeps the FIFO
-and drops the rest: ``call_soon`` appends ``(callback, args, context)`` to
-a deque, and ``run_until_complete`` pops and runs them in order.  The order
-is the one asyncio's loop would give, so the message interleaving, and with
-it every byte a run writes, stays the same.
+A run has no timers and no I/O, so asyncio's own loop runs its ready
+callbacks in FIFO order, paying for a selector poll and a ``Handle`` per
+callback on the way.  ``RunLoop`` keeps the FIFO and drops the rest:
+``call_soon`` appends ``(callback, args, context)`` to the ready deque, and
+one ``_run_once`` pops and runs them in that order until the loop is
+stopped.  So the interleaving, and every byte a run writes, stays the same.
 
-Futures and tasks are asyncio's own (the C ``Future`` and ``Task``), so
-``gather``, cancellation, contextvars and ``get_running_loop`` work as on
-asyncio's loop, and the agents need not know which loop they run on.
+The rest is ``asyncio.BaseEventLoop``'s: ``run_until_complete`` and its
+guards, ``close``, asyncio's C ``Future`` and ``Task``, and the exception
+handler that logs to the ``asyncio`` logger; the agents need not know which
+loop they run on.  The loop relies on three private names, alike on Python
+3.10 to 3.13: the ``_run_once`` step it replaces, the ``_ready`` deque, and
+the ``_stopping`` flag set once ``run_until_complete``'s future is done.
 
-With nothing to wait for but each other, an empty ready queue while the
-main task is unfinished is an exact deadlock: no callback can ever run
-again.  The loop raises ``Stalled`` instead of hanging.  ``call_later`` and
-``call_at`` raise ``NotImplementedError``: a run never sets a timer.
+An empty ready queue while the main task is unfinished is an exact
+deadlock, so the loop raises ``Stalled`` instead of hanging.  Timers and
+callbacks from other threads raise ``NotImplementedError``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextvars
-import logging
-from collections import deque
-
-logger = logging.getLogger("asyncio")
 
 
 class Stalled(RuntimeError):
     """No callback is ready, but the awaited task is unfinished."""
 
 
-class RunLoop(asyncio.AbstractEventLoop):
+class RunLoop(asyncio.BaseEventLoop):
     """A FIFO of ready callbacks, run until one future is done."""
-
-    def __init__(self):
-        self._ready: deque = deque()
-        self._closed = False
-
-    # -------------------------------------------------------- scheduling
 
     def call_soon(self, callback, *args, context=None):
         # No Handle is returned: nothing in a run cancels a callback.
@@ -48,79 +38,32 @@ class RunLoop(asyncio.AbstractEventLoop):
             context = contextvars.copy_context()
         self._ready.append((callback, args, context))
 
-    def call_later(self, delay, callback, *args, context=None):
-        raise NotImplementedError("a RunLoop has no timers")
-
     def call_at(self, when, callback, *args, context=None):
+        # The inherited call_later goes through here.
         raise NotImplementedError("a RunLoop has no timers")
 
-    def create_future(self):
-        return asyncio.Future(loop=self)
+    def call_soon_threadsafe(self, callback, *args, context=None):
+        # The inherited one would queue a Handle before it fails.
+        raise NotImplementedError("a RunLoop runs in one thread")
 
-    def create_task(self, coro, *, name=None, context=None):
-        if context is None:  # Task(context=) is new in Python 3.11
-            return asyncio.Task(coro, loop=self, name=name)
-        return asyncio.Task(coro, loop=self, name=name, context=context)
-
-    # ----------------------------------------------------------- running
-
-    def run_until_complete(self, future):
-        """Run ready callbacks in FIFO order until ``future`` is done.
-
-        Raises ``Stalled`` if the queue empties first.  A callback that
-        raises is reported to ``call_exception_handler``, as asyncio's loop
-        does, and the loop goes on.
-        """
-        if self._closed:
-            raise RuntimeError("the loop is closed")
-        if asyncio.events._get_running_loop() is not None:
-            raise RuntimeError("another event loop is running in this thread")
-        future = asyncio.ensure_future(future, loop=self)
-        done: list = []
-        future.add_done_callback(done.append)
+    def _run_once(self):
+        """Run ready callbacks in FIFO order until the loop is stopped."""
         popleft = self._ready.popleft
-        asyncio.events._set_running_loop(self)
-        try:
-            while not done:
-                try:
-                    callback, args, context = popleft()
-                except IndexError:
-                    raise Stalled(f"{len(asyncio.all_tasks(self))} tasks "
-                                  "wait and no callback is ready") from None
-                try:
-                    context.run(callback, *args)
-                except (SystemExit, KeyboardInterrupt):
-                    raise
-                except BaseException as exc:
-                    self.call_exception_handler({
-                        "message": f"Exception in callback {callback!r}",
-                        "exception": exc,
-                    })
-        finally:
-            asyncio.events._set_running_loop(None)
-        return future.result()
-
-    def is_closed(self) -> bool:
-        return self._closed
-
-    def close(self) -> None:
-        self._closed = True
-        self._ready.clear()
-
-    def get_debug(self) -> bool:
-        return False
-
-    # -------------------------------------------------------- exceptions
-
-    def call_exception_handler(self, context: dict) -> None:
-        """Log the error to the ``asyncio`` logger, as asyncio's loop does."""
-        exception = context.get("exception")
-        exc_info = (False if exception is None else
-                    (type(exception), exception, exception.__traceback__))
-        lines = [context.get("message") or "Unhandled exception in event loop"]
-        lines += [f"{key}: {context[key]!r}" for key in sorted(context)
-                  if key not in ("message", "exception")]
-        logger.error("\n".join(lines), exc_info=exc_info)
+        while not self._stopping:
+            try:
+                callback, args, context = popleft()
+            except IndexError:
+                raise Stalled(f"{len(asyncio.all_tasks(self))} tasks "
+                              "wait and no callback is ready") from None
+            try:
+                context.run(callback, *args)
+            except (SystemExit, KeyboardInterrupt):
+                raise
+            except BaseException as exc:
+                self.call_exception_handler({
+                    "message": f"Exception in callback {callback!r}",
+                    "exception": exc,
+                })
 
 
 def _cancel_leftovers(loop: RunLoop) -> None:

@@ -229,7 +229,8 @@ def test_stalled_run_is_flagged_in_both_modes(tmp_path, caplog):
 
     Nothing is left to run before the budget, in either mode: the run ends
     flagged, written, and listed under ``failures``, and cancelling its
-    tasks leaves nothing for asyncio to log.
+    tasks leaves nothing for asyncio to log.  Its ``events.log`` still ends
+    with the evaluator records and balanced mailbox ledgers.
     """
     budget = Budget.messages(100_000)
     cfg = RunConfig(problem="sphere-3", budget=budget,
@@ -258,3 +259,11 @@ def test_stalled_run_is_flagged_in_both_modes(tmp_path, caplog):
         assert stalled_at and int(stalled_at[1]) == messages
         assert 0 < messages < budget.limit
         assert report["trace"]
+        records = [json.loads(line) for line in
+                   (run_dir / "events.log").read_text().splitlines()]
+        evaluators = [r for r in records if r["event"] == "evaluator"]
+        ledgers = [r for r in records if r["event"] == "mailbox"]
+        assert len(evaluators) == 2 and len(ledgers) == 6
+        assert records[-len(ledgers):] == ledgers
+        for r in ledgers:
+            assert r["puts"] == r["takes"] + r["drops"] + r["queued"], r

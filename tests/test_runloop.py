@@ -3,8 +3,9 @@
 ``coopt.runloop.run`` replaces ``asyncio.run`` for a run.  These tests pin
 what the agents rely on (asyncio's futures, tasks, contextvars and
 exception logging work as on asyncio's loop), what the loop refuses
-(timers), how it ends (leftover tasks cancelled, running loop unset), and
-that every golden config writes the same bytes on both loops.
+(timers, other threads, a closed or nested loop), how it ends (leftover
+tasks cancelled, running loop unset), and that every golden config writes
+the same bytes on both loops.
 """
 
 import asyncio
@@ -29,7 +30,26 @@ def test_timers_are_refused():
         loop.call_later(0.1, print)
     with pytest.raises(NotImplementedError):
         loop.call_at(0.1, print)
+    with pytest.raises(NotImplementedError):
+        loop.call_soon_threadsafe(print)
+    assert not loop._ready
     loop.close()
+
+
+def test_inherited_guards_refuse_a_closed_or_nested_loop():
+    loop = RunLoop()
+    future = loop.create_future()
+
+    async def nested():
+        loop.run_until_complete(future)
+
+    with pytest.raises(RuntimeError, match="another"):
+        asyncio.run(nested())
+    with pytest.raises(RuntimeError, match="another"):
+        runloop.run(nested())
+    loop.close()
+    with pytest.raises(RuntimeError, match="closed"):
+        loop.run_until_complete(future)
 
 
 def test_exception_in_main_propagates():
