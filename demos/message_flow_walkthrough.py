@@ -6,8 +6,9 @@ Shows the moving parts underneath the experiment harness, smallest first:
 2. the promoting priority queues that keep low-priority solvers from
    starving behind a stream of high-priority requests,
 3. a fully wired run -- scheduler, two evaluators, the analysis agent, and
-   two scripted solver tasks racing on a 3-d sphere -- with the event
-   stream and the per-mailbox ledger printed at the end.
+   two scripted solver tasks racing on a 3-d sphere, on the run loop that
+   ``coopt run`` uses -- with the event stream and the per-mailbox ledger
+   printed at the end.
 
 Usage: python3 demos/message_flow_walkthrough.py
 """
@@ -19,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from coopt import runloop
 from coopt.core import freeze_point
 from coopt.harness import run_agents, wire
 from coopt.messaging import Mailbox, MailboxClosed, Message, MessageKind
@@ -137,7 +139,7 @@ def full_run():
                   Budget.messages(MESSAGE_BUDGET), sharing=True,
                   events=events.append)
     state = agents.state
-    archive, errors = asyncio.run(run_agents(agents, [
+    archive, errors = runloop.run(run_agents(agents, [
         shrinking_search(sid, state.inbox, state.share_mailboxes[sid], seed)
         for sid, seed in SEEDS.items()]))
     assert not errors

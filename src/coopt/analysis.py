@@ -71,7 +71,8 @@ class Archive:
     best: Optional[Evaluation] = None
     front: list[Evaluation] = field(default_factory=list)
     # Index of the feasible members of ``front``, built on the first
-    # update: a front handed in (``coopt report``) may never be updated.
+    # update: a front handed in (a ``snapshot()``, or a test's) may never
+    # be updated.
     _stairs: Optional[_Staircase] = field(
         default=None, init=False, repr=False, compare=False)
 
@@ -81,8 +82,8 @@ class Archive:
 
     def __repr__(self) -> str:
         # Short on purpose: a done task's repr shows its result, and
-        # asyncio.run (tests and demos drive run_agents with it) reprs the
-        # main task on exit.
+        # asyncio.run (tests drive run_agents with it) reprs the main task
+        # on exit.
         return f"<Archive {self.mode}: {len(self.members())} members>"
 
     def members(self) -> list[Evaluation]:

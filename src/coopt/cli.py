@@ -43,7 +43,7 @@ def _parse_point(text: str, flag: str) -> tuple[float, ...]:
 def _read_objectives(path) -> list[tuple[float, ...]]:
     """The z1[,z2] columns of a CSV written by the harness (or compatible)."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.DictReader(fh)
             columns = [c for c in (reader.fieldnames or [])
                        if c.startswith("z")]

@@ -1,13 +1,14 @@
 """Model-evaluation agents.
 
-Each evaluator loops: announce availability to the scheduler, wait for a
-point, evaluate the model, send the result both to the asking solver's
-reply future and to the analysis agent.  A closed mailbox at any blocking
-step ends the agent by ``MailboxClosed``, its normal end.
+Each evaluator loops: announce itself to the scheduler with a future, await
+the point set on it, evaluate the model, send the result both to the asking
+solver's reply future and to the analysis agent.  ``MailboxClosed``, from a
+closed mailbox or from that future at shutdown, is the agent's normal end.
 """
 
 from __future__ import annotations
 
+import asyncio
 from dataclasses import dataclass
 from typing import Iterator, NoReturn
 
@@ -38,19 +39,19 @@ class EvaluatorStats:
 
 async def evaluator_loop(evaluator_id: str, problem: Problem,
                          scheduler_inbox: Mailbox, analysis_inbox: Mailbox,
-                         own_mailbox: Mailbox, seq: Iterator[int],
+                         seq: Iterator[int],
                          stats: EvaluatorStats) -> NoReturn:
-    """Serve evaluation requests until a channel closes (``MailboxClosed``).
+    """Serve evaluation requests until the run ends (``MailboxClosed``).
 
     ``seq`` is shared by all evaluators of a run and numbers evaluations
     globally in completion order.
     """
     while True:
+        dispatch = asyncio.get_running_loop().create_future()
         await scheduler_inbox.put(
-            Message(MessageKind.REQUESTPOINT, evaluator_id, evaluator_id))
+            Message(MessageKind.REQUESTPOINT, evaluator_id, dispatch))
         stats.requests += 1
-        message = await own_mailbox.take()
-        request = message.content
+        request = await dispatch
         evaluation = evaluate_model(problem, request.point,
                                     solver_id=request.solver_id,
                                     seq=next(seq))

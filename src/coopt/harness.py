@@ -34,6 +34,7 @@ leaves out, exactly as ``preset_config`` does.
 from __future__ import annotations
 
 import asyncio
+import codecs
 import csv
 import itertools
 import json
@@ -233,7 +234,8 @@ _SOLVER_KEYS = {
 
 def load_config(path) -> RunConfig:
     """Parse and validate a config file; errors cite the offending line."""
-    raw = Path(path).read_bytes()
+    # Not utf-8-sig: its error offsets would skip the byte-order mark.
+    raw = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -366,19 +368,16 @@ def wire(problem: Problem, solver_labels, n_evaluators: int, budget: Budget,
 
     This is the one place that sizes the mailboxes.  For S solvers and E
     evaluators: scheduler inbox 2(S + E + 1), analysis inbox 2(E + 1), each
-    evaluator's mailbox 2, each solver's share ring 4.  The archive keeps
-    one objective or a front, as ``problem.n_obj`` says.
+    solver's share ring 4.  The archive keeps one objective or a front, as
+    ``problem.n_obj`` says.
     """
     scheduler_inbox = Mailbox(
         2 * (len(solver_labels) + n_evaluators + 1), name="scheduler")
     analysis_inbox = Mailbox(2 * (n_evaluators + 1), name="analysis")
-    evaluator_mbs = {f"eval-{i}": Mailbox(2, name=f"eval-{i}")
-                     for i in range(n_evaluators)}
     share_mbs = {label: Mailbox(4, name=f"share:{label}")
                  for label in solver_labels}
     state = SchedulerState(
         inbox=scheduler_inbox,
-        evaluator_mailboxes=evaluator_mbs,
         share_mailboxes=share_mbs,
         analysis_inbox=analysis_inbox,
         budget=budget,
@@ -386,18 +385,18 @@ def wire(problem: Problem, solver_labels, n_evaluators: int, budget: Budget,
         events=events,
     )
     seq = itertools.count(1)
-    stats = {eid: EvaluatorStats(eid) for eid in evaluator_mbs}
+    stats = {f"eval-{i}": EvaluatorStats(f"eval-{i}")
+             for i in range(n_evaluators)}
     mode = SINGLE if problem.n_obj == 1 else MULTI
     coroutines = [analysis_loop(analysis_inbox, scheduler_inbox,
                                 Archive(mode))]
     coroutines += [
-        evaluator_loop(eid, problem, scheduler_inbox, analysis_inbox, mb,
-                       seq, stats[eid])
-        for eid, mb in evaluator_mbs.items()
+        evaluator_loop(eid, problem, scheduler_inbox, analysis_inbox, seq,
+                       stats[eid])
+        for eid in stats
     ]
     return Agents(state, coroutines, stats,
-                  [scheduler_inbox, analysis_inbox, *evaluator_mbs.values(),
-                   *share_mbs.values()])
+                  [scheduler_inbox, analysis_inbox, *share_mbs.values()])
 
 
 async def run_agents(agents: Agents, solvers) -> tuple[Archive | None, list]:

@@ -4,9 +4,10 @@ Agents run as cooperatively scheduled tasks on one event loop and exchange
 immutable messages through mailboxes.  A mailbox has a fixed capacity:
 ``put`` suspends the sender while full, ``take`` suspends the receiver while
 empty.  Closing a mailbox wakes every blocked party with ``MailboxClosed``,
-which agents treat as the terminate signal.  A one-shot reply (an
-evaluation back to its solver, the archive back to the scheduler) travels on
-a bare ``asyncio.Future`` instead of a mailbox.
+which agents treat as the terminate signal.  A one-shot answer (a point
+to an idle evaluator, an evaluation back to its solver, the archive back to
+the scheduler) travels on a bare ``asyncio.Future`` that the asker sends
+along, instead of a mailbox.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from typing import Any, NamedTuple
 
 class MessageKind(Enum):
     ANALYSESOLUTION = "ANALYSESOLUTION"   # evaluation result for the analysis agent
-    EVALUATEPOINT = "EVALUATEPOINT"       # request/dispatch of a point to evaluate
+    EVALUATEPOINT = "EVALUATEPOINT"       # a solver's point to evaluate
     OBJECTIVEVALUE = "OBJECTIVEVALUE"     # evaluation result (solver's reply future)
-    REQUESTPOINT = "REQUESTPOINT"         # evaluator announces availability
+    REQUESTPOINT = "REQUESTPOINT"         # idle evaluator (its dispatch future)
     RETRIEVEBEST = "RETRIEVEBEST"         # ask the analysis agent for the archive
     SHAREBEST = "SHAREBEST"               # broadcast of an improved solution
     STATISTICSBEST = "STATISTICSBEST"     # archive snapshot (scheduler's reply future)
@@ -103,16 +104,6 @@ class Mailbox:
         if len(self._items) >= self.capacity:
             self._items.popleft()
             self.drops += 1
-        self._items.append(message)
-        self.puts += 1
-        self._wake(self._getters)
-
-    def put_nowait(self, message: Message) -> None:
-        """Non-blocking put for senders that can prove the mailbox non-full."""
-        if self._closed:
-            raise MailboxClosed(self.name)
-        if len(self._items) >= self.capacity:
-            raise RuntimeError(f"mailbox {self.name!r} unexpectedly full")
         self._items.append(message)
         self.puts += 1
         self._wake(self._getters)

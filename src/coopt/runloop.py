@@ -8,11 +8,11 @@ one ``_run_once`` pops and runs them in that order until the loop is
 stopped.  So the interleaving, and every byte a run writes, stays the same.
 
 The rest is ``asyncio.BaseEventLoop``'s: ``run_until_complete`` and its
-guards, ``close``, asyncio's C ``Future`` and ``Task``, and the exception
-handler that logs to the ``asyncio`` logger; the agents need not know which
-loop they run on.  The loop relies on three private names, alike on Python
-3.10 to 3.13: the ``_run_once`` step it replaces, the ``_ready`` deque, and
-the ``_stopping`` flag set once ``run_until_complete``'s future is done.
+guards, ``close``, asyncio's C ``Future`` and ``Task``, the async-generator
+hooks, and the exception handler that logs to the ``asyncio`` logger.  The
+loop relies on four private names, alike on Python 3.10 to 3.13: the
+``_run_once`` step it replaces, the ``_ready`` deque, the ``_stopping`` flag
+set once ``run_until_complete``'s future is done, and ``_thread_id``.
 
 An empty ready queue while the main task is unfinished is an exact
 deadlock, so the loop raises ``Stalled`` instead of hanging.  Timers and
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import asyncio
 import contextvars
+import threading
 
 
 class Stalled(RuntimeError):
@@ -43,8 +44,11 @@ class RunLoop(asyncio.BaseEventLoop):
         raise NotImplementedError("a RunLoop has no timers")
 
     def call_soon_threadsafe(self, callback, *args, context=None):
-        # The inherited one would queue a Handle before it fails.
-        raise NotImplementedError("a RunLoop runs in one thread")
+        # The async-generator finalizer calls from the loop's own thread;
+        # no other thread (none, outside a run) can wake the loop.
+        if threading.get_ident() != self._thread_id:
+            raise NotImplementedError("a RunLoop runs in one thread")
+        self.call_soon(callback, *args, context=context)
 
     def _run_once(self):
         """Run ready callbacks in FIFO order until the loop is stopped."""
@@ -87,8 +91,9 @@ def run(main):
     """Run coroutine ``main`` on a fresh ``RunLoop`` and return its result.
 
     ``asyncio.run`` for a run: afterwards the tasks still pending are
-    cancelled and run to their end, and the loop is closed.  A stalled run
-    raises ``Stalled``; its tasks are cancelled the same way first.
+    cancelled and run to their end, the async generators still open are
+    closed, and the loop is closed.  A stalled run raises ``Stalled``; its
+    tasks and generators are ended the same way first.
     """
     loop = RunLoop()
     try:
@@ -96,5 +101,6 @@ def run(main):
     finally:
         try:
             _cancel_leftovers(loop)
+            loop.run_until_complete(loop.shutdown_asyncgens())
         finally:
             loop.close()

@@ -111,15 +111,14 @@ class SchedulerState:
     """Wiring and private counters of one scheduler task."""
 
     inbox: Mailbox
-    evaluator_mailboxes: dict[str, Mailbox]
     share_mailboxes: dict[str, Mailbox]
     analysis_inbox: Mailbox
     budget: Budget
     sharing: bool = False
     events: Callable[[dict], None] = ignore_event
     queues: PriorityQueues = field(default_factory=PriorityQueues)
-    idle: deque = field(default_factory=deque)
-    busy: set = field(default_factory=set)
+    idle: deque = field(default_factory=deque)  # REQUESTPOINT messages
+    busy: set = field(default_factory=set)  # evaluator ids
     msg_count: int = 0
     dispatches: int = 0
     dispatches_per_solver: Counter = field(default_factory=Counter)
@@ -142,7 +141,7 @@ async def scheduler_loop(state: SchedulerState) -> Any:
     """Run the dispatch loop to budget exhaustion; return the final archive.
 
     Every received message counts toward a message-typed budget; every
-    EVALUATEPOINT handed to an evaluator counts toward an evaluation-typed
+    request handed to an evaluator counts toward an evaluation-typed
     budget (that cap is exact: dispatch stops at the limit and queued
     requests are refused during shutdown).  Unlike the other agents, the
     scheduler's one normal end is to return.
@@ -165,9 +164,8 @@ def _handle(state: SchedulerState, message: Message) -> None:
     if message.kind is MessageKind.EVALUATEPOINT:
         state.queues.enqueue(message.content)
     elif message.kind is MessageKind.REQUESTPOINT:
-        evaluator_id = message.content
-        state.busy.discard(evaluator_id)
-        state.idle.append(evaluator_id)
+        state.busy.discard(message.sender)
+        state.idle.append(message)
     elif message.kind is MessageKind.ANALYSESOLUTION:
         evaluation = message.content
         state.improvements += 1
@@ -205,16 +203,14 @@ def _dispatch_idle(state: SchedulerState) -> None:
         request = state.queues.next_request()
         if request is None:
             return
-        evaluator_id = state.idle.popleft()
-        # The evaluator announced idleness, so its mailbox is empty.
-        state.evaluator_mailboxes[evaluator_id].put_nowait(
-            Message(MessageKind.EVALUATEPOINT, "scheduler", request))
-        state.busy.add(evaluator_id)
+        announcement = state.idle.popleft()
+        announcement.content.set_result(request)
+        state.busy.add(announcement.sender)
         state.dispatches += 1
         state.dispatches_per_solver[request.solver_id] += 1
         state.events({
             "event": "dispatch",
-            "evaluator": evaluator_id,
+            "evaluator": announcement.sender,
             "solver": request.solver_id,
             "messages": state.msg_count,
             "dispatches": state.dispatches,
@@ -244,9 +240,9 @@ async def _shutdown(state: SchedulerState) -> Any:
     reaches the analysis agent (an evaluator re-announces itself only after
     delivering both result messages, and the analysis mailbox is FIFO, so
     the later RETRIEVEBEST cannot overtake any result).  Only then refuse
-    pending requests, close the solver/evaluator channels, and query the
-    archive.  Improvements that arrive after the budget is spent are
-    recorded but no longer broadcast.
+    pending requests, close the share rings and the inbox, release the
+    idle evaluators, and query the archive.  Improvements that arrive
+    after the budget is spent are recorded but no longer broadcast.
     """
     state.sharing = False
     while state.busy:
@@ -257,13 +253,14 @@ async def _shutdown(state: SchedulerState) -> Any:
 
     for share_mb in state.share_mailboxes.values():
         share_mb.close()
-    for evaluator_mb in state.evaluator_mailboxes.values():
-        evaluator_mb.close()
     state.inbox.close()
 
-    # Anything that raced in before the close still gets an answer.
+    # Anything that raced in before the close still gets an answer, and
+    # every idle evaluator, including one announced just now, is let go.
     while (message := state.inbox.take_nowait()) is not None:
         _settle(state, message)
+    for announcement in state.idle:
+        announcement.content.set_exception(MailboxClosed(announcement.sender))
 
     reply = asyncio.get_running_loop().create_future()
     await state.analysis_inbox.put(

@@ -160,7 +160,9 @@ async def ga_step(members: list[Evaluation], cfg: SolverConfig,
     """One generation: tournament selection, arithmetic crossover, mutation.
 
     Shared solutions join the parent pool first; the best member survives
-    unchanged (elitism); output size is always ``cfg.size_param``.
+    unchanged (elitism); output size is always ``cfg.size_param``.  Every
+    generation evaluates at least one child: at size 1 the child replaces
+    the elite only if it dominates it.
     """
     pool = members + list(injected)
     fitness = assign_fitness(pool)
@@ -169,7 +171,7 @@ async def ga_step(members: list[Evaluation], cfg: SolverConfig,
     sigma = MUTATION_SIGMA_FRACTION * domain.ranges
     fitness_values = fitness.tolist()
     children: list[Evaluation] = [elite]
-    while len(children) < cfg.size_param:
+    while len(children) < max(cfg.size_param, 2):
         p1 = _tournament(pool, fitness_values, rng)
         p2 = _tournament(pool, fitness_values, rng)
         if rng.random() < CROSSOVER_RATE:
@@ -181,6 +183,8 @@ async def ga_step(members: list[Evaluation], cfg: SolverConfig,
         noise = rng.normal(0.0, sigma)
         child = domain.clip(np.where(mutate, child + noise, child))
         children.append(await evaluate(child))
+    if cfg.size_param == 1:
+        return [children[1] if dominates(children[1], elite) else elite]
     return children
 
 

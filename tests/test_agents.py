@@ -79,9 +79,9 @@ def test_small_run_completes_and_reports_best():
         assert s.requests - s.evaluations in (0, 1)
     assert sum(1 for e in events if e["event"] == "dispatch") \
         == state.dispatches
-    assert [mb.capacity for mb in agents.mailboxes] == [8, 6, 2, 2, 4]
-    assert [e["event"] for e in events[-7:]] == ["evaluator"] * 2 + [
-        "mailbox"] * 5
+    assert [mb.capacity for mb in agents.mailboxes] == [8, 6, 4]
+    assert [e["event"] for e in events[-5:]] == ["evaluator"] * 2 + [
+        "mailbox"] * 3
 
 
 def test_each_point_evaluated_exactly_once():

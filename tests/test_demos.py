@@ -19,6 +19,5 @@ def test_message_flow_walkthrough_runs_on_the_real_wiring(monkeypatch,
     ledger = capsys.readouterr().out.split("per-mailbox ledger")[1]
     rows = ledger.strip().splitlines()[1:]
     assert [row.split()[0] for row in rows] == [
-        "scheduler", "analysis", "eval-0", "eval-1", "share:coarse",
-        "share:fine"]
+        "scheduler", "analysis", "share:coarse", "share:fine"]
     assert all(row.endswith("OK") for row in rows)

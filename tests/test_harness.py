@@ -1,5 +1,6 @@
 """Config parsing, presets, single runs, experiment layout, and the CLI."""
 
+import codecs
 import json
 from dataclasses import replace
 
@@ -439,6 +440,32 @@ def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
         load_config(cfg)
     assert cli_main(["run", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith("error: line 2: not UTF-8")
+
+
+def test_byte_order_mark_is_not_part_of_a_config(tmp_path):
+    text = "problem = sphere-3\npreset = hen-protocol\nseed = 4\n"
+    plain = write(tmp_path, text)
+    marked = tmp_path / "bom.cfg"
+    marked.write_bytes(codecs.BOM_UTF8 + text.encode())
+    assert load_config(marked) == load_config(plain)
+    marked.write_bytes(codecs.BOM_UTF8 + b"seed = 1\nproblem = \xff\n")
+    with pytest.raises(ConfigError,
+                       match=r"^line 2: not UTF-8 text \(byte 0xff\)$"):
+        load_config(marked)
+
+
+def test_byte_order_mark_is_not_part_of_a_csv(tmp_path, capsys):
+    text = "z1,z2\n0.0,0.5\n0.5,0.0\n"
+    outputs = []
+    for prefix in (b"", codecs.BOM_UTF8):
+        archive = tmp_path / f"archive{len(prefix)}.csv"
+        archive.write_bytes(prefix + text.encode())
+        assert cli_main(["metrics", str(archive), "--ref", "1,1",
+                         "--utopia", "0,0", "--front", str(archive)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert [line.split(",")[0] for line in outputs[1].splitlines()[1:]] \
+        == list(MEASURES)
 
 
 @pytest.mark.parametrize("argv, files, fragment", [

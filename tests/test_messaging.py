@@ -191,7 +191,7 @@ def test_cancelled_woken_taker_passes_the_wakeup_on():
         first = asyncio.ensure_future(mb.take())
         second = asyncio.ensure_future(mb.take())
         await asyncio.sleep(0)              # both takers park
-        mb.put_nowait(msg("only"))          # wakes the first taker ...
+        mb.put_drop_oldest(msg("only"))     # wakes the first taker ...
         first.cancel()                      # ... which dies before it runs
         got = await asyncio.wait_for(second, timeout=1)
         return got.content, mb.stats()

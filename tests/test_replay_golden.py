@@ -1,14 +1,10 @@
 """Golden replay: fixed configs must keep writing the same bytes.
 
 Each case runs one repetition with seed 5 and 3 evaluators and hashes
-trace.csv + archive.csv + events.log with SHA-256.  The first six hashes
-were recorded before the reply-future / preset-table refactor, the
-false-readings-analogue ones before the 2-D staircase archive and layers;
-all still hold.  That problem's second objective is built from floored
-counts, so its fronts and fitness layers are full of equal-z2 ties.
-
-The last two were recorded before the per-evaluation trims (the clip,
-``evaluate_model`` and promotion rewrites), on the code they replaced:
+trace.csv + archive.csv + events.log with SHA-256.  The
+false-readings-analogue problem's second objective is built from floored
+counts, so its fronts and fitness layers are full of equal-z2 ties.  Two
+cases cover paths that the others do not:
 
 * ``priority-ladder``: the hen roster at priorities 1/3/5/7/9/10, with the
   ``RunConfig`` built directly as the benchmark's workloads build theirs.
@@ -19,14 +15,20 @@ The last two were recorded before the per-evaluation trims (the clip,
 
 ``BENCH_GOLDEN`` holds the benchmark's three workloads at full budget, as
 ``bench/workloads.build_config(name, 1)`` builds them, at repetitions 0 and
-1.  The repetition-0 hashes were recorded before the solver-kind table and
-its two drivers, the repetition-1 ones before the run-directory row record.
-
-``EXPERIMENT_GOLDEN`` holds a two-repetition ``run_experiment`` per
+1.  ``EXPERIMENT_GOLDEN`` holds a two-repetition ``run_experiment`` per
 objective count: every file it writes (``boxplot.csv`` or ``metrics.csv``,
 and each run's four files), with ``report.json``'s ``wall_time`` removed.
-Those hashes were recorded before the run-directory row record and the
-measure table.
+
+Before they were re-recorded, these hashes held unchanged through the
+reply-future and preset-table refactor, the 2-D staircase archive, the
+per-evaluation trims, the solver-kind table, the run-directory row record,
+the measure table and the FIFO run loop.  They were re-recorded once, when
+the evaluators lost their own mailboxes: the scheduler now sets each
+dispatched point on a future that the evaluator's REQUESTPOINT carries.
+That removed the ``"mailbox": "eval-<i>"`` ledger records from every
+events.log and changed nothing else.  Every trace.csv, archive.csv and
+report.json (less ``wall_time``) stayed byte-identical, and every
+events.log equalled the old one with those records deleted.
 
 A change that alters any message, its order, or the written outputs breaks
 them.  A change that alters outputs on purpose must say why and record the
@@ -53,36 +55,36 @@ from coopt.solvers import SolverConfig
 SEED = 5
 GOLDEN = {
     ("mutas-protocol", "biobj-quadratic-5", None, False):
-        "3300df44afe090d1a41276e1482bf92a142ff3b6c4e29b45c122f759ec5da654",
+        "8916cfff481f78d5f209133a8b3e24d4902e2aaa85d5e1dfe719cffacfc9992e",
     ("mutas-protocol", "biobj-quadratic-5", None, True):
-        "c8f473c1356aaa461a7a3abfe07ea25edea97c5474eda2a0a5b3bac4ec7fb01f",
+        "5bd89c707c468b246535485f6b0512060eb934013f401ba40366240d9ea669b1",
     ("hen-protocol", "ridge-basin-10", 6_000, False):
-        "2ae9450de55594dfbbf9e1575c9fec677b23340e1ee0de09c1079ef3f2360b5d",
+        "e61609bbc9d4c10dc60ebd596bd4712301df79f6588f6eaf43d44f64a93bb60a",
     ("hen-protocol", "ridge-basin-10", 6_000, True):
-        "6fa646e48a78aee41462553bdb1c5d4f31b58f0f665111bef659a4533c5ae34e",
+        "52332d33ed3e7195492b9af535367928e300a563309928c20fdb511dc8aceb2b",
     ("hen-protocol", "constrained-sphere-10", 6_000, False):
-        "8601fef4cd0bed1dbef6813cfd7d80fc8e74723986434bfb1d319624f2fe45fe",
+        "5a554f07f43ca6ae689dc195cb9212e6e5045adc510d6c81eb6d10fee1e02ca4",
     ("hen-protocol", "constrained-sphere-10", 6_000, True):
-        "f54b74678c8d4a2a3e614b067a7ce98ddf89d55acb54bb6c4b21c3df9e5e35f3",
+        "8110e6cb06d667878c4e47d4fcf6998284247f32d9e034e330830422ba9e1501",
     ("mutas-protocol", "false-readings-analogue", None, False):
-        "92835ef2bf4923f6969b8eb4e707365fe566039cb326bc61e71cf97df3f186e9",
+        "c05ce3a9024b81bda9005ff999df3cf0672dfe194b24aaa221a1220b08c907a5",
     ("mutas-protocol", "false-readings-analogue", None, True):
-        "dd7e3fff1b08d0cc9e38eb21c395a68142e401b2bc557b749fe76f31186ac6a9",
+        "f88599edb0666dba3449e632a8eb1e49190c1503729de45bebd3491a82e7135a",
     ("priority-ladder", "ridge-basin-10", 6_000, False):
-        "4c3087f1c0ced8772e4a393d06c99b53cbf954b12d67d9b5bf2185b57d349aa1",
+        "af2457df8c699405ad085c63c0dde5bc48fffff02ab59c67d6923edb6f8a571a",
     ("hen-protocol", "mixed-int-quadratic-6", 6_000, True):
-        "a6a37970dee2bc0833817d8974bc41804d89004064370a9f0d13095096182481",
+        "fdb08f952e0fbe119c369165a55aa2995189b46e3fe111e2cfbbd9818c783d80",
 }
 BENCH_GOLDEN = {  # name -> (repetition 0, repetition 1)
     "hen-sphere10": (
-        "199ca92db6a150a20268db7c1d801912804dde2549d1d588f1527cabbe6804a6",
-        "c78de778b1eea40c115aa1eccf95b7688aa7cbe84dba25042c9d71bacc93ff86"),
+        "6683bea38b11a942112b6be3dd1abd5ecbb5a182f6568d63924ae79aa4a686cd",
+        "b28d81e9117cc019224fda595dd5ac55a767a5120b5a3c82beebca514171e56b"),
     "mutas-biobj5-5k": (
-        "3c7c517629766e022db3a9ea0c59ac0739ef566097c9568863bc95cb4c262d87",
-        "1c69af7183b25a3d013cf6402243aebb8d9ceca0572ecf535e860c66d946fe69"),
+        "56a8897891614d64d29ceb8a62351b556139535a3f3a49ee2a94381680912fbf",
+        "ba1a6247b8f3ca6d6dfb1ffab2ea8e4919ad937bfffbed230fa71fa9ffd55a54"),
     "hen-ridge10-prio": (
-        "5a733ade54e9d5f49c3bf9793990f395041708fa91dd70a6a87a7d925acb36ee",
-        "8c31bd1ff0d24816a07f7744c877f16b289930941c1c01c70fde42afc2a9a8ad"),
+        "6e606b13c70947b5fafdc545e868d552aecd588e28944a292f4478140d95f036",
+        "ff5861ee1f510941da80085201dcfcce33d22277913640e7f66a7b1dd3af8aaa"),
 }
 # problem -> (preset, budget); seed SEED, repetitions 2
 EXPERIMENTS = {
@@ -91,9 +93,9 @@ EXPERIMENTS = {
 }
 EXPERIMENT_GOLDEN = {
     "sphere-3":
-        "b243bfb73d132cdf094cbabadf8d43a2444fbdfe15bd423c596ccfc6faf107ef",
+        "475eca5545d63455c22ae71c3437e67e9b88abde8a9d0c152487970f5cbc3d7d",
     "biobj-quadratic-2":
-        "2a3b28782cfd32a8dba5c2f192578f06a40c0e5d1ffcab1cc12ad60136d90e17",
+        "dcd90eaf7370dfee32bc93423eea6e1e0628c5555af0bb2a1ab9e492794e5494",
 }
 WALL_TIME = re.compile(rb', "wall_time": [-+.e0-9]+')
 LADDER = (("GA", 10, "ga-small", 1), ("GA", 50, "ga-large", 3),

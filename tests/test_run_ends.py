@@ -18,17 +18,21 @@ import json
 import logging
 import math
 import re
+import tempfile
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coopt.analysis
 from coopt.harness import (RunConfig, preset_config, run_agents,
                            run_experiment, run_once, wire, write_run_dir)
 from coopt.problems import registry_get
-from coopt.scheduler import Budget, ignore_event
+from coopt.scheduler import P_MAX, Budget, ignore_event
 from coopt.solvers import SOLVER_KINDS, SolverConfig, solver_loop
 
 CFG = preset_config("hen-protocol", "sphere-3", budget=Budget.messages(2000))
@@ -224,6 +228,20 @@ def test_no_exception_is_left_unretrieved(caplog, fault):
                 if r.name == "asyncio"]
 
 
+def test_one_dimensional_hen_run_reaches_its_budget():
+    """hen-protocol builds GA(np) with np = 1 on a 1-D problem.
+
+    A GA generation that evaluated no child would never give the loop
+    control back, and the run would spin forever.
+    """
+    cfg = preset_config("hen-protocol", "sphere-1")
+    assert cfg.solvers[0].size_param == 1
+    report = bounded(lambda: run_once(cfg, 0), "1-D hen run")
+    assert report.valid
+    assert report.counters["messages"] >= cfg.budget.limit
+    assert report.per_solver_evaluations["ga-small"] > 1
+
+
 def test_stalled_run_is_flagged_in_both_modes(tmp_path, caplog):
     """SD and CS alone park on their share rings and stop asking.
 
@@ -263,7 +281,64 @@ def test_stalled_run_is_flagged_in_both_modes(tmp_path, caplog):
                    (run_dir / "events.log").read_text().splitlines()]
         evaluators = [r for r in records if r["event"] == "evaluator"]
         ledgers = [r for r in records if r["event"] == "mailbox"]
-        assert len(evaluators) == 2 and len(ledgers) == 6
+        assert len(evaluators) == 2 and len(ledgers) == 4
         assert records[-len(ledgers):] == ledgers
         for r in ledgers:
             assert r["puts"] == r["takes"] + r["drops"] + r["queued"], r
+
+
+SOLVERS = st.lists(st.tuples(st.sampled_from(sorted(SOLVER_KINDS)),
+                             st.integers(1, 6), st.integers(1, P_MAX),
+                             st.floats(0.0, 1.0)),
+                   min_size=1, max_size=4)
+
+
+@st.composite
+def small_configs(draw):
+    """Any roster of 1-4 solvers on a small problem and budget."""
+    solvers = tuple(SolverConfig(kind, size, priority, weight,
+                                 instance_label=f"{kind.lower()}-{i}")
+                    for i, (kind, size, priority, weight)
+                    in enumerate(draw(SOLVERS)))
+    return RunConfig(
+        problem=draw(st.sampled_from(["sphere-3", "constrained-sphere-3",
+                                      "mixed-int-quadratic-4",
+                                      "biobj-quadratic-2"])),
+        budget=Budget(draw(st.sampled_from(["messages", "evaluations"])),
+                      draw(st.integers(0, 2000))),
+        solvers=solvers, population_size=draw(st.integers(1, 4)),
+        n_evaluators=draw(st.integers(1, 3)), sharing=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**16)), repetitions=1)
+
+
+def written(report, run_dir: Path) -> list[bytes]:
+    write_run_dir(run_dir, report)
+    return [(run_dir / name).read_bytes()
+            for name in ("trace.csv", "archive.csv", "events.log")]
+
+
+@settings(deadline=None, max_examples=120)
+@given(small_configs(), st.integers(0, 3))
+def test_every_small_config_ends_and_replays(cfg, rep_index):
+    """Valid at its exact budget, or flagged as stalled; never a hang.
+
+    Either way every mailbox ledger balances, and a second run of the same
+    config and repetition writes the same bytes.
+    """
+    report = bounded(lambda: run_once(cfg, rep_index), "fuzzed run")
+    limit = cfg.budget.limit
+    if not report.valid:
+        assert report.error.startswith(
+            "Stalled: the run stalled at message"), report.error
+    elif cfg.budget.kind == "evaluations":
+        assert report.counters["dispatches"] == limit
+    else:
+        assert report.counters["messages"] >= limit
+    ledgers = [e for e in report.events if e["event"] == "mailbox"]
+    assert len(ledgers) == 2 + len(cfg.solvers)
+    for r in ledgers:
+        assert r["puts"] == r["takes"] + r["drops"] + r["queued"], r
+    with tempfile.TemporaryDirectory() as tmp:
+        again = bounded(lambda: run_once(cfg, rep_index), "replayed run")
+        assert written(again, Path(tmp, "again")) \
+            == written(report, Path(tmp, "first"))

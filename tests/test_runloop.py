@@ -4,14 +4,15 @@
 what the agents rely on (asyncio's futures, tasks, contextvars and
 exception logging work as on asyncio's loop), what the loop refuses
 (timers, other threads, a closed or nested loop), how it ends (leftover
-tasks cancelled, running loop unset), and that every golden config writes
-the same bytes on both loops.
+tasks cancelled, open async generators closed, running loop unset), and
+that every golden config writes the same bytes on both loops.
 """
 
 import asyncio
 import contextvars
 import gc
 import logging
+import sys
 
 import pytest
 
@@ -22,6 +23,27 @@ from test_replay_golden import GOLDEN, _case_id, _config, _digest
 
 async def forever():
     await asyncio.get_running_loop().create_future()
+
+
+def unraisable_during(call):
+    """``call()``'s result and what reached ``sys.unraisablehook`` meanwhile."""
+    seen = []
+    hook = sys.unraisablehook
+    sys.unraisablehook = lambda args: seen.append(repr(args.exc_value))
+    try:
+        result = call()
+        gc.collect()
+    finally:
+        sys.unraisablehook = hook
+    return result, seen
+
+
+async def two_steps(closed):
+    try:
+        yield 1
+        yield 2
+    finally:
+        closed.append("finally")
 
 
 def test_timers_are_refused():
@@ -144,6 +166,36 @@ def test_stall_raises_instead_of_hanging():
     with pytest.raises(Stalled, match="3 tasks wait"):
         runloop.run(main())
     assert started == [True, True]
+
+
+def test_dropped_async_generator_is_finalized():
+    """Dropping a suspended generator schedules its ``aclose`` on the loop."""
+    closed = []
+
+    async def main():
+        generator = two_steps(closed)
+        assert await generator.__anext__() == 1
+        del generator
+        await asyncio.sleep(0)
+        await asyncio.sleep(0)
+        return list(closed)
+
+    assert unraisable_during(lambda: runloop.run(main())) == (["finally"], [])
+
+
+def test_open_async_generator_is_closed_when_main_returns():
+    closed = []
+
+    async def main():
+        generator = two_steps(closed)
+        assert await generator.__anext__() == 1
+        return generator
+
+    def run_and_drop():
+        generator = runloop.run(main())
+        return list(closed), generator.ag_frame
+
+    assert unraisable_during(run_and_drop) == ((["finally"], None), [])
 
 
 def test_unretrieved_task_exception_is_logged(caplog):

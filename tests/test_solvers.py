@@ -237,6 +237,24 @@ def test_ga_output_size_fixed_despite_injections():
     assert out[0].objectives == (0.08,)
 
 
+def test_ga_of_size_one_evaluates_a_child_and_keeps_the_better():
+    """A generation that evaluated nothing would never give the loop back."""
+    elite = ev([1.0, 1.0], 2.0)
+    kept = set()
+    for seed in range(20):
+        evaluate, calls = make_evaluate(sphere_model, BOX5)
+        out = run(ga_step([elite], SolverConfig("GA", size_param=1),
+                          BOX5, np.random.default_rng(seed), evaluate, []))
+        child_z = sphere_model(calls[0])[0]
+        assert len(calls) == 1 and len(out) == 1
+        if child_z < 2.0:
+            assert out[0].seq == 1  # the child
+        else:
+            assert out[0] is elite
+        kept.add(out[0] is elite)
+    assert kept == {True, False}
+
+
 def test_ga_step_is_deterministic_for_fixed_seed():
     members = [ev([x, -x], 2 * x * x) for x in (1.0, 2.0, 3.0, 4.0)]
     cfg = SolverConfig("GA", size_param=4, seed=7)
