@@ -129,8 +129,8 @@ def _insert_into_front(archive: Archive, evaluation: Evaluation) -> bool:
         if evicted is None:
             return False
         if evicted:
-            gone = {id(m) for m in evicted}
-            archive.front = [m for m in archive.front if id(m) not in gone]
+            gone = set(evicted)
+            archive.front = [m for m in archive.front if m not in gone]
     elif stairs.members:
         return False
     elif archive.front:

@@ -24,7 +24,7 @@ class VarKind(Enum):
     INTEGER = "integer"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Domain:
     """Bounded search box with a kind (real or integer) per dimension.
 
@@ -46,9 +46,9 @@ class Domain:
     lower: np.ndarray
     upper: np.ndarray
     kinds: tuple[VarKind, ...] = ()
-    integer_mask: np.ndarray = field(init=False, repr=False, compare=False)
-    has_integer: bool = field(init=False, repr=False, compare=False)
-    ranges: np.ndarray = field(init=False, repr=False, compare=False)
+    integer_mask: np.ndarray = field(init=False, repr=False)
+    has_integer: bool = field(init=False, repr=False)
+    ranges: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         lower = np.asarray(self.lower, dtype=float)
@@ -125,7 +125,7 @@ def freeze_point(values: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Evaluation:
     """Outcome of one model evaluation, with attribution.
 
@@ -150,7 +150,7 @@ class Evaluation:
         return self.constraint == INFEASIBLE_SENTINEL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Problem:
     """A named black-box model over a bounded domain.
 

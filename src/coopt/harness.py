@@ -660,15 +660,16 @@ def run_experiment(cfg: RunConfig) -> dict:
     problem = registry_get(cfg.problem)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    # Per mode, (best, metrics row) of each run; a failed run has neither.
+    # Per mode, (best, metrics row) of each valid run.
     kept: dict[str, list[tuple]] = {mode: [] for mode, _ in MODES}
     failures: list[str] = []
     for mode, sharing in MODES:
         for rep in range(cfg.repetitions):
             report = run_once(replace(cfg, sharing=sharing), rep)
             write_run_dir(out / f"{mode}-rep{rep:02d}", report)
-            kept[mode].append((report.best_value(), report.metrics_row))
-            if not report.valid:
+            if report.valid:
+                kept[mode].append((report.best_value(), report.metrics_row))
+            else:
                 failures.append(f"{mode}-rep{rep:02d}: {report.error}")
             del report  # a hen run's ~30k events: not held over the next run
 

@@ -10,7 +10,7 @@ stopped.  So the interleaving, and every byte a run writes, stays the same.
 The rest is ``asyncio.BaseEventLoop``'s: ``run_until_complete`` and its
 guards, ``close``, asyncio's C ``Future`` and ``Task``, the async-generator
 hooks, and the exception handler that logs to the ``asyncio`` logger.  The
-loop relies on four private names, alike on Python 3.10 to 3.13: the
+loop relies on four private names, alike on Python 3.11 to 3.13: the
 ``_run_once`` step it replaces, the ``_ready`` deque, the ``_stopping`` flag
 set once ``run_until_complete``'s future is done, and ``_thread_id``.
 
@@ -44,8 +44,9 @@ class RunLoop(asyncio.BaseEventLoop):
         raise NotImplementedError("a RunLoop has no timers")
 
     def call_soon_threadsafe(self, callback, *args, context=None):
-        # The async-generator finalizer calls from the loop's own thread;
-        # no other thread (none, outside a run) can wake the loop.
+        # The async-generator finalizer and the runner's SIGINT handler
+        # call from the loop's own thread; no other thread (none, outside
+        # a run) can wake the loop.
         if threading.get_ident() != self._thread_id:
             raise NotImplementedError("a RunLoop runs in one thread")
         self.call_soon(callback, *args, context=context)
@@ -70,37 +71,14 @@ class RunLoop(asyncio.BaseEventLoop):
                 })
 
 
-def _cancel_leftovers(loop: RunLoop) -> None:
-    """Cancel the tasks still pending and run them to their end."""
-    leftovers = asyncio.all_tasks(loop)
-    if not leftovers:
-        return
-    for task in leftovers:
-        task.cancel()
-    loop.run_until_complete(asyncio.gather(*leftovers, return_exceptions=True))
-    for task in leftovers:
-        if not task.cancelled() and task.exception() is not None:
-            loop.call_exception_handler({
-                "message": "unhandled exception during run shutdown",
-                "exception": task.exception(),
-                "task": task,
-            })
-
-
 def run(main):
     """Run coroutine ``main`` on a fresh ``RunLoop`` and return its result.
 
-    ``asyncio.run`` for a run: afterwards the tasks still pending are
-    cancelled and run to their end, the async generators still open are
-    closed, and the loop is closed.  A stalled run raises ``Stalled``; its
-    tasks and generators are ended the same way first.
+    This is ``asyncio.run`` with a ``RunLoop``: asyncio's own ``Runner``
+    cancels the tasks still pending, closes the open async generators and
+    closes the loop, also after a stalled run raises ``Stalled``.  In the
+    main thread the first Ctrl-C cancels ``main``, so every ``finally``
+    runs, and then raises ``KeyboardInterrupt``.
     """
-    loop = RunLoop()
-    try:
-        return loop.run_until_complete(main)
-    finally:
-        try:
-            _cancel_leftovers(loop)
-            loop.run_until_complete(loop.shutdown_asyncgens())
-        finally:
-            loop.close()
+    with asyncio.Runner(loop_factory=RunLoop) as runner:
+        return runner.run(main)

@@ -17,6 +17,7 @@ from coopt.core import (
     freeze_point,
     uniform_box,
 )
+from coopt.problems import registry_get
 from oracles import clip_reference, domain_contains
 
 
@@ -178,6 +179,18 @@ def test_wrong_objective_count_maps_to_sentinel():
     e = evaluate_model(prob, np.array([0.5, 0.5]))
     assert e.failed
     assert len(e.objectives) == 2
+
+
+def test_problems_domains_and_evaluations_compare_by_identity():
+    """Array fields make value equality ambiguous, so none is defined."""
+    first, second = registry_get("sphere-3"), registry_get("sphere-3")
+    point = np.array([1.0, 2.0, 3.0])
+    one, other = (evaluate_model(first, point) for _ in range(2))
+    for a, b in [(first, second), (first.domain, second.domain),
+                 (one, other)]:
+        assert a != b and not a == b
+        assert a == a and hash(a) == hash(a)
+        assert {a, b} == {b, a} and len({a, b}) == 2
 
 
 def test_evaluation_point_is_frozen():

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from coopt import harness
 from coopt.cli import main as cli_main
 from coopt.harness import (
     ConfigError,
@@ -374,6 +375,60 @@ def test_experiment_layout_multi_objective(tmp_path):
         (tmp_path / "m" / "cooperating-rep00" / "report.json").read_text())
     assert report["front_size"] >= 1
     assert report["metrics"]["non-dominated points"] == report["front_size"]
+
+
+def flag_rep_one(monkeypatch):
+    """Make repetition 1 of each mode invalid, archive kept; return the rest.
+
+    The kept reports' (best, metrics row) per mode, in the order they ran.
+    """
+    kept = {"independent": [], "cooperating": []}
+
+    def run_once_flagging(cfg, rep_index):
+        report = run_once(cfg, rep_index)
+        assert report.archive is not None
+        if rep_index == 1:
+            return replace(report, valid=False, error="Stalled: injected")
+        kept[report.mode].append((report.best_value(), report.metrics_row))
+        return report
+
+    monkeypatch.setattr(harness, "run_once", run_once_flagging)
+    return kept
+
+
+def test_summaries_count_valid_runs_only(tmp_path, monkeypatch):
+    kept = flag_rep_one(monkeypatch)
+    summary = run_experiment(replace(SMALL, repetitions=3,
+                                     output_dir=str(tmp_path / "e")))
+    assert summary["failures"] == [
+        "independent-rep01: Stalled: injected",
+        "cooperating-rep01: Stalled: injected"]
+    lines = (tmp_path / "e" / "boxplot.csv").read_text().splitlines()
+    for mode, line in zip(["independent", "cooperating"], lines[1:]):
+        bests = [best for best, _row in kept[mode]]
+        assert len(bests) == 2
+        assert summary["median_best"][mode] == float(np.median(bests))
+        five = np.percentile(bests, [0, 25, 50, 75, 100])
+        assert line == ",".join([mode] + [repr(float(v)) for v in five])
+
+
+def test_front_summaries_count_valid_runs_only(tmp_path, monkeypatch):
+    kept = flag_rep_one(monkeypatch)
+    cfg = RunConfig(problem="biobj-quadratic-2",
+                    budget=Budget.evaluations(120),
+                    solvers=(SolverConfig("GA", 8, instance_label="ga"),
+                             SolverConfig("SD", weight=0.3,
+                                          instance_label="sd")),
+                    population_size=8, seed=2, repetitions=3,
+                    output_dir=str(tmp_path / "m"))
+    assert len(run_experiment(cfg)["failures"]) == 2
+    lines = (tmp_path / "m" / "metrics.csv").read_text().splitlines()
+    assert len(lines) == 1 + len(MEASURES)
+    for line in lines[1:]:
+        measure, *cells = line.split(",")
+        assert cells == [
+            repr(float(np.median([row[measure] for _best, row in kept[mode]])))
+            for mode in ["independent", "cooperating"]]
 
 
 def test_archive_csv_round_trip(tmp_path):

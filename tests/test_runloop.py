@@ -4,14 +4,16 @@
 what the agents rely on (asyncio's futures, tasks, contextvars and
 exception logging work as on asyncio's loop), what the loop refuses
 (timers, other threads, a closed or nested loop), how it ends (leftover
-tasks cancelled, open async generators closed, running loop unset), and
-that every golden config writes the same bytes on both loops.
+tasks cancelled, open async generators closed, running loop unset, Ctrl-C
+after every ``finally``), and that every golden config writes the same
+bytes on both loops.
 """
 
 import asyncio
 import contextvars
 import gc
 import logging
+import signal
 import sys
 
 import pytest
@@ -166,6 +168,30 @@ def test_stall_raises_instead_of_hanging():
     with pytest.raises(Stalled, match="3 tasks wait"):
         runloop.run(main())
     assert started == [True, True]
+
+
+def test_ctrl_c_ends_a_run_after_its_finally_blocks():
+    ended = []
+
+    async def waits():
+        try:
+            await forever()
+        finally:
+            ended.append("task")
+
+    async def main():
+        task = asyncio.ensure_future(waits())
+        await asyncio.sleep(0)
+        try:
+            signal.raise_signal(signal.SIGINT)
+            await task
+        finally:
+            ended.append("main")
+
+    with pytest.raises(KeyboardInterrupt):
+        runloop.run(main())
+    assert sorted(ended) == ["main", "task"]
+    assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
 
 
 def test_dropped_async_generator_is_finalized():
