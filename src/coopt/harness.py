@@ -41,6 +41,7 @@ import json
 import time
 from dataclasses import dataclass, replace
 from functools import partial
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
@@ -579,13 +580,20 @@ def write_run_csvs(run_dir, summary: dict) -> None:
 def write_events_log(path, events: list[dict]) -> None:
     """One JSON object per line, keys sorted, as ``json.dumps`` writes them.
 
-    One encoder serves every record (``json.dumps`` builds a new one per
-    call, and a hen run has ~30k events).  The lines are streamed, not
-    joined first: the joined text would add ~7 MB to a hen run's peak RSS.
+    One C encoder serves every record: ``json.dumps`` and
+    ``JSONEncoder.encode`` build a new one, and a new circular-reference
+    table, per call, and a hen run has ~30k events.  The encoder comes from
+    the private ``json.encoder.c_make_encoder``, with the arguments
+    ``JSONEncoder(sort_keys=True)`` passes it, alike on Python 3.11 to
+    3.13, but no circular-reference table: a record is a tree.  The lines
+    are streamed, not joined first: the joined text would add ~7 MB to a
+    hen run's peak RSS.
     """
-    encode = json.JSONEncoder(sort_keys=True).encode
+    encode = c_make_encoder(None, json.JSONEncoder().default,
+                            encode_basestring_ascii, None, ": ", ", ",
+                            True, False, True)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(encode(record) + "\n" for record in events)
+        fh.writelines("".join(encode(record, 0)) + "\n" for record in events)
 
 
 def report_summary(report: RunReport) -> dict:

@@ -79,14 +79,36 @@ def average_distance(points, utopia) -> float:
     return float(np.mean(np.linalg.norm(pts - utopia, axis=1)))
 
 
+# Point-front pairs in one block of ``generational_distance``.
+_GD_BLOCK_PAIRS = 1 << 16
+
+
 def generational_distance(points, true_front) -> float:
-    """Mean distance from each point to its nearest true-front sample."""
+    """Mean distance from each point to its nearest true-front sample.
+
+    The points go in row blocks of at most ``_GD_BLOCK_PAIRS`` point-front
+    pairs (one row if the front is larger), so memory is
+    O(max(len(front), _GD_BLOCK_PAIRS)) rather than len(points) *
+    len(front).  Each point keeps its least squared distance and one
+    ``sqrt`` follows; ``sqrt`` is monotone and correctly rounded, so this
+    equals the mean of the least distances bit for bit, NaN included.
+    """
     pts = _as_points(points)
     front = _as_points(true_front)
     if len(pts) == 0 or len(front) == 0:
         raise ValueError("generational_distance needs non-empty inputs")
-    diffs = pts[:, None, :] - front[None, :, :]
-    nearest = np.sqrt(np.sum(diffs**2, axis=2)).min(axis=1)
+    f0, f1 = front[:, 0], front[:, 1]
+    rows = max(1, _GD_BLOCK_PAIRS // len(front))
+    nearest = np.empty(len(pts))
+    for start in range(0, len(pts), rows):
+        block = pts[start:start + rows]
+        d0 = block[:, 0, None] - f0
+        d1 = block[:, 1, None] - f1
+        np.square(d0, out=d0)
+        np.square(d1, out=d1)
+        d0 += d1
+        d0.min(axis=1, out=nearest[start:start + rows])
+    np.sqrt(nearest, out=nearest)
     return float(np.mean(nearest))
 
 

@@ -128,6 +128,19 @@ def monte_carlo_hypervolume(front, reference, rng, samples=200_000):
     return estimate, stderr
 
 
+def generational_distance_cube(points, front):
+    """Generational distance from the full points x front x 2 difference cube.
+
+    The formula ``metrics.generational_distance`` was first written with;
+    its memory grows with len(points) * len(front).
+    """
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    front = np.asarray(front, dtype=float).reshape(-1, 2)
+    diffs = pts[:, None, :] - front[None, :, :]
+    nearest = np.sqrt(np.sum(diffs**2, axis=2)).min(axis=1)
+    return float(np.mean(nearest))
+
+
 def golden_section_minimum(f, lo, hi, tol=1e-10):
     """Scalar golden-section search for the minimum of f on [lo, hi]."""
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0

@@ -2,6 +2,7 @@
 
 import codecs
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -440,6 +441,23 @@ def test_archive_csv_round_trip(tmp_path):
     assert len(archive) == 2  # single best for a single-objective run
     best = json.loads((run_dir / "report.json").read_text())["best"]
     assert float(archive[1].split(",")[3]) == best
+
+
+def test_events_log_lines_equal_json_dumps(tmp_path):
+    records = [
+        {"event": "improvement", "solver": 'ga "small" \u00e9\u2603\\',
+         "z": [1.5, -0.0, 1e-320, 1e300], "seq": 2**70},
+        {"values": [math.nan, math.inf, -math.inf], "nested": [[1, [None]],
+         {"b": True, "a": False}], "label\n\u00fc": None},
+        {},
+        {"only": "ascii"},
+    ]
+    path = tmp_path / "events.log"
+    harness.write_events_log(path, records)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    assert lines == [json.dumps(r, sort_keys=True) for r in records] + [""]
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        harness.write_events_log(tmp_path / "bad.log", [{"x": object()}])
 
 
 # ---------------------------------------------------------------------- CLI

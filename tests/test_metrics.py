@@ -1,8 +1,15 @@
 """Metric worked examples, Monte-Carlo oracle, and invariance properties."""
 
+import math
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coopt import metrics
 from coopt.metrics import (
     MEASURES,
     area_trapezoid,
@@ -12,7 +19,7 @@ from coopt.metrics import (
     hypervolume,
     hypervolume_complement,
 )
-from oracles import monte_carlo_hypervolume
+from oracles import generational_distance_cube, monte_carlo_hypervolume
 
 
 def random_staircase(rng, n):
@@ -146,6 +153,59 @@ def test_gd_empty_inputs_error():
         generational_distance([], [(0.0, 0.0)])
     with pytest.raises(ValueError):
         generational_distance([(0.0, 0.0)], [])
+
+
+def same_float(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+# A few values drawn often, so duplicate points, points on the front and
+# +-0.0, +-inf and NaN are common; any other float, huge or subnormal, too.
+COORD = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, math.inf, -math.inf,
+                     math.nan]),
+    st.floats())
+POINTS = st.lists(st.tuples(COORD, COORD), min_size=1, max_size=40)
+
+
+@settings(deadline=None, max_examples=300)
+@given(POINTS, POINTS, st.integers(1, 64))
+def test_gd_blocks_equal_the_difference_cube(points, front, block_pairs):
+    # A small block makes the row blocks of these small inputs end
+    # anywhere: mid-points, on the last point, or one point per block.
+    # inf - inf and squares beyond the float range warn in both.
+    with np.errstate(invalid="ignore", over="ignore"):
+        with mock.patch.object(metrics, "_GD_BLOCK_PAIRS", block_pairs):
+            gd = generational_distance(points, front)
+        assert same_float(gd, generational_distance_cube(points, front))
+
+
+@pytest.mark.parametrize("n_points, n_front", [
+    (255, 256), (256, 256), (257, 256), (513, 256),
+    (1, 1 << 16), (2, (1 << 16) + 1), (3, 70_000),
+])
+def test_gd_equals_the_difference_cube_around_the_block_size(n_points,
+                                                             n_front):
+    rng = np.random.default_rng(n_points * 7 + n_front)
+    pts = rng.uniform(-1.0, 2.0, size=(n_points, 2))
+    front = rng.uniform(0.0, 1.0, size=(n_front, 2))
+    pts[-1] = front[-1]
+    assert generational_distance(pts, front) \
+        == generational_distance_cube(pts, front)
+
+
+def test_gd_memory_does_not_grow_with_points_times_front():
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(0.0, 1.0, size=(1000, 2))
+    front = rng.uniform(0.0, 1.0, size=(1000, 2))
+    tracemalloc.start()
+    try:
+        generational_distance(pts, front)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The 1000 x 1000 x 2 difference cube alone is 16 MB.
+    assert peak < 4_000_000
 
 
 # ------------------------------------------------------ order invariance
