@@ -7,8 +7,8 @@ Shows the moving parts underneath the experiment harness, smallest first:
    starving behind a stream of high-priority requests,
 3. a fully wired run -- scheduler, two evaluators, the analysis agent, and
    two scripted solver tasks racing on a 3-d sphere, on the run loop that
-   ``coopt run`` uses -- with the event stream and the per-mailbox ledger
-   printed at the end.
+   ``coopt run`` uses -- with the run's record (its events, counters,
+   evaluator records and per-mailbox ledger) printed at the end.
 
 Usage: python3 demos/message_flow_walkthrough.py
 """
@@ -134,29 +134,32 @@ def full_run():
     hr("3. a wired run on sphere-3")
     print(f"budget: {MESSAGE_BUDGET} scheduler messages, "
           f"{N_EVALUATORS} evaluators, solvers {list(SEEDS)}, sharing on")
-    events = []
     agents = wire(PROBLEM, list(SEEDS), N_EVALUATORS,
-                  Budget.messages(MESSAGE_BUDGET), sharing=True,
-                  events=events.append)
+                  Budget.messages(MESSAGE_BUDGET), sharing=True)
     state = agents.state
+    record = state.record
     archive, errors = runloop.run(run_agents(agents, [
         shrinking_search(sid, state.inbox, state.share_mailboxes[sid], seed)
         for sid, seed in SEEDS.items()]))
     assert not errors
 
-    print("\nfirst events on the scheduler's log:")
+    events = record.events
+    print("\nfirst events in the run's record:")
     for event in events[:6]:
         print("  ", event)
     print(f"  ... {len(events)} events total:",
           dict(Counter(e["event"] for e in events)))
 
-    print(f"\ndispatches {state.dispatches}, broadcasts {state.broadcasts}, "
-          f"improvements {state.improvements}, refusals {state.refusals}")
+    print("\nthe record's counters:", record.counters())
+    print("dispatches per solver:", dict(record.solver_dispatches))
+    for counts in record.evaluators.values():
+        print(f"  {counts['evaluator']}: {counts['evaluations']} evaluations,"
+              f" {counts['replies_delivered']} replies delivered")
     best = archive.best
     print(f"best of the run: f = {best.objectives[0]:.6f} at "
           f"{np.round(best.point, 4).tolist()} (found by {best.solver_id})")
     print("improvement history:",
-          [f"{e['z'][0]:.3f}" for e in events if e["event"] == "improvement"])
+          [f"{e['z'][0]:.3f}" for e in record.improvements])
 
     print("\nper-mailbox ledger (puts == takes + drops + queued):")
     for s in (e for e in events if e["event"] == "mailbox"):

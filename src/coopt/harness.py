@@ -50,11 +50,11 @@ import numpy as np
 from coopt import runloop
 from coopt.analysis import MULTI, SINGLE, Archive, analysis_loop
 from coopt.core import Problem
-from coopt.evaluator import EvaluatorStats, evaluator_loop
+from coopt.evaluator import evaluator_loop, evaluator_record
 from coopt.messaging import Mailbox, MailboxClosed
 from coopt.metrics import MEASURES, front_measures
 from coopt.problems import front_samples, registry_get
-from coopt.scheduler import Budget, SchedulerState, ignore_event, scheduler_loop
+from coopt.scheduler import Budget, RunRecord, SchedulerState, scheduler_loop
 from coopt.solvers import SolverConfig, solver_loop
 
 MODES = (("independent", False), ("cooperating", True))
@@ -357,47 +357,46 @@ def _derive_seeds(cfg: RunConfig, rep_index: int):
 class Agents(NamedTuple):
     """One run's wiring, as ``wire`` builds it; no agent is started yet."""
 
-    state: SchedulerState
+    state: SchedulerState  # holds the run's record, ``state.record``
     coroutines: list  # the analysis agent's, then one per evaluator
-    stats: dict[str, EvaluatorStats]
-    mailboxes: list[Mailbox]  # in the order of their ledger records
 
 
 def wire(problem: Problem, solver_labels, n_evaluators: int, budget: Budget,
-         sharing: bool = False, events=ignore_event) -> Agents:
-    """Build the mailboxes, scheduler state and agent coroutines of a run.
+         sharing: bool = False) -> Agents:
+    """Build the mailboxes, run record, scheduler state and agent coroutines.
 
     This is the one place that sizes the mailboxes.  For S solvers and E
     evaluators: scheduler inbox 2(S + E + 1), analysis inbox 2(E + 1), each
     solver's share ring 4.  The archive keeps one objective or a front, as
-    ``problem.n_obj`` says.
+    ``problem.n_obj`` says.  The record starts with an empty event log.
     """
     scheduler_inbox = Mailbox(
         2 * (len(solver_labels) + n_evaluators + 1), name="scheduler")
     analysis_inbox = Mailbox(2 * (n_evaluators + 1), name="analysis")
     share_mbs = {label: Mailbox(4, name=f"share:{label}")
                  for label in solver_labels}
+    record = RunRecord(
+        mailboxes=[scheduler_inbox, analysis_inbox, *share_mbs.values()],
+        evaluators={f"eval-{i}": evaluator_record(f"eval-{i}")
+                    for i in range(n_evaluators)})
     state = SchedulerState(
         inbox=scheduler_inbox,
         share_mailboxes=share_mbs,
         analysis_inbox=analysis_inbox,
         budget=budget,
+        record=record,
         sharing=sharing,
-        events=events,
     )
     seq = itertools.count(1)
-    stats = {f"eval-{i}": EvaluatorStats(f"eval-{i}")
-             for i in range(n_evaluators)}
     mode = SINGLE if problem.n_obj == 1 else MULTI
     coroutines = [analysis_loop(analysis_inbox, scheduler_inbox,
                                 Archive(mode))]
     coroutines += [
-        evaluator_loop(eid, problem, scheduler_inbox, analysis_inbox, seq,
-                       stats[eid])
-        for eid in stats
+        evaluator_loop(problem, scheduler_inbox, analysis_inbox, seq,
+                       evaluator)
+        for evaluator in record.evaluators.values()
     ]
-    return Agents(state, coroutines, stats,
-                  [scheduler_inbox, analysis_inbox, *share_mbs.values()])
+    return Agents(state, coroutines)
 
 
 async def run_agents(agents: Agents, solvers) -> tuple[Archive | None, list]:
@@ -407,12 +406,11 @@ async def run_agents(agents: Agents, solvers) -> tuple[Archive | None, list]:
     of how an agent ends: returning, being cancelled and (but for the
     scheduler) ``MailboxClosed`` are normal; the first task to end any other
     way cancels every task.  Returns the final archive (None if aborted) and
-    the abnormal endings' exceptions.  The evaluator records, then one
-    ledger record per mailbox, go to the events sink.
+    the abnormal endings' exceptions; the run's record is closed however
+    the run ends.
     """
-    state = agents.state
     tasks = [asyncio.ensure_future(c) for c in agents.coroutines]
-    scheduler_task = asyncio.ensure_future(scheduler_loop(state))
+    scheduler_task = asyncio.ensure_future(scheduler_loop(agents.state))
     tasks += [scheduler_task] + [asyncio.ensure_future(s) for s in solvers]
     errors: list[BaseException] = []
 
@@ -429,10 +427,7 @@ async def run_agents(agents: Agents, solvers) -> tuple[Archive | None, list]:
     try:
         await asyncio.gather(*tasks, return_exceptions=True)
     finally:  # also when the run stalls and the loop cancels this task
-        for evaluator_stats in agents.stats.values():
-            state.events(evaluator_stats.record())
-        for mb in agents.mailboxes:
-            state.events({"event": "mailbox", **mb.stats()})
+        agents.state.record.close()
     return (None if errors else scheduler_task.result()), errors
 
 
@@ -453,7 +448,11 @@ def run_once(cfg: RunConfig, rep_index: int) -> RunReport:
     classes = {sc.label: sc.solver_class for sc in solver_cfgs}
 
     mode = "cooperating" if cfg.sharing else "independent"
-    events: list[dict] = [{
+    started = time.perf_counter()
+    agents = wire(problem, labels, cfg.n_evaluators, cfg.budget, cfg.sharing)
+    state = agents.state
+    record = state.record
+    record.events.append({
         "event": "run-start",
         "problem": cfg.problem,
         "mode": mode,
@@ -462,19 +461,15 @@ def run_once(cfg: RunConfig, rep_index: int) -> RunReport:
         "solvers": labels,
         "initial_population": [[float(v) for v in p]
                                for p in initial_points],
-    }]
-    started = time.perf_counter()
-    agents = wire(problem, labels, cfg.n_evaluators, cfg.budget,
-                  cfg.sharing, events.append)
-    state = agents.state
+    })
     solvers = [solver_loop(sc, problem.domain, initial_points, state.inbox,
-                           state.share_mailboxes[sc.label], events.append)
+                           state.share_mailboxes[sc.label], record)
                for sc in solver_cfgs]
     try:
         snapshot, errors = runloop.run(run_agents(agents, solvers))
     except runloop.Stalled as exc:
         snapshot, errors = None, [runloop.Stalled(
-            f"the run stalled at message {state.msg_count}: {exc}")]
+            f"the run stalled at message {record.messages}: {exc}")]
     wall_time = time.perf_counter() - started
 
     metrics_row = None
@@ -493,13 +488,13 @@ def run_once(cfg: RunConfig, rep_index: int) -> RunReport:
                 "instance_label": e["solver"],
                 "class": classes[e["solver"]],
             }
-            for e in events if e.get("event") == "improvement"
+            for e in record.improvements
         ],
-        per_solver_evaluations=dict(state.dispatches_per_solver),
-        counters=state.counters(), metrics_row=metrics_row,
+        per_solver_evaluations=dict(record.solver_dispatches),
+        counters=record.counters(), metrics_row=metrics_row,
         wall_time=wall_time, valid=not errors,
         error="; ".join(f"{type(e).__name__}: {e}" for e in errors),
-        events=events)
+        events=record.events)
 
 
 def front_metrics(objective_points, problem_name: str) -> dict:

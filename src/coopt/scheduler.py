@@ -12,15 +12,11 @@ from __future__ import annotations
 import asyncio
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, NamedTuple, Optional
+from typing import Any, NamedTuple, Optional
 
 from coopt.messaging import Mailbox, MailboxClosed, Message, MessageKind
 
 P_MAX = 10
-
-
-def ignore_event(record: dict) -> None:
-    """The events sink of a run that keeps no event log."""
 
 
 class EvaluationRequest(NamedTuple):
@@ -107,34 +103,54 @@ class Budget:
 
 
 @dataclass
+class RunRecord:
+    """One run's event log and counts, written into as the run goes.
+
+    The scheduler counts into it, each evaluator into its own dict in
+    ``evaluators``, and the solvers add their ``solver-improvement``
+    events.  ``close`` ends the log with the evaluator records, then one
+    ledger record per mailbox.
+    """
+
+    mailboxes: list[Mailbox]
+    evaluators: dict[str, dict]  # evaluator id -> its "evaluator" record
+    events: list[dict] = field(default_factory=list)
+    messages: int = 0
+    dispatches: int = 0
+    broadcasts: int = 0
+    refusals: int = 0
+    solver_dispatches: Counter = field(default_factory=Counter)
+    improvements: list[dict] = field(default_factory=list)
+
+    def counters(self) -> dict:
+        """The run's totals, as ``report.counters`` and the last event."""
+        return {
+            "messages": self.messages,
+            "dispatches": self.dispatches,
+            "broadcasts": self.broadcasts,
+            "refusals": self.refusals,
+            "improvements": len(self.improvements),
+        }
+
+    def close(self) -> None:
+        self.events.extend(self.evaluators.values())
+        self.events.extend({"event": "mailbox", **mb.stats()}
+                           for mb in self.mailboxes)
+
+
+@dataclass
 class SchedulerState:
-    """Wiring and private counters of one scheduler task."""
+    """Wiring and private state of one scheduler task."""
 
     inbox: Mailbox
     share_mailboxes: dict[str, Mailbox]
     analysis_inbox: Mailbox
     budget: Budget
+    record: RunRecord
     sharing: bool = False
-    events: Callable[[dict], None] = ignore_event
     queues: PriorityQueues = field(default_factory=PriorityQueues)
     idle: deque = field(default_factory=deque)  # REQUESTPOINT messages
     busy: set = field(default_factory=set)  # evaluator ids
-    msg_count: int = 0
-    dispatches: int = 0
-    dispatches_per_solver: Counter = field(default_factory=Counter)
-    broadcasts: int = 0
-    refusals: int = 0
-    improvements: int = 0
-
-    def counters(self) -> dict:
-        """The run's totals, as ``report.counters`` and the last event."""
-        return {
-            "messages": self.msg_count,
-            "dispatches": self.dispatches,
-            "broadcasts": self.broadcasts,
-            "refusals": self.refusals,
-            "improvements": self.improvements,
-        }
 
 
 async def scheduler_loop(state: SchedulerState) -> Any:
@@ -148,7 +164,7 @@ async def scheduler_loop(state: SchedulerState) -> Any:
     """
     while not _exhausted(state):
         message = await state.inbox.take()
-        state.msg_count += 1
+        state.record.messages += 1
         _handle(state, message)
         _dispatch_idle(state)
     return await _shutdown(state)
@@ -156,8 +172,8 @@ async def scheduler_loop(state: SchedulerState) -> Any:
 
 def _exhausted(state: SchedulerState) -> bool:
     if state.budget.kind == "messages":
-        return state.msg_count >= state.budget.limit
-    return state.dispatches >= state.budget.limit
+        return state.record.messages >= state.budget.limit
+    return state.record.dispatches >= state.budget.limit
 
 
 def _handle(state: SchedulerState, message: Message) -> None:
@@ -168,16 +184,18 @@ def _handle(state: SchedulerState, message: Message) -> None:
         state.idle.append(message)
     elif message.kind is MessageKind.ANALYSESOLUTION:
         evaluation = message.content
-        state.improvements += 1
-        state.events({
+        record = state.record
+        improvement = {
             "event": "improvement",
             "seq": evaluation.seq,
             "solver": evaluation.solver_id,
             "z": list(evaluation.objectives),
             "g": evaluation.constraint,
-            "messages": state.msg_count,
-            "dispatches": state.dispatches,
-        })
+            "messages": record.messages,
+            "dispatches": record.dispatches,
+        }
+        record.improvements.append(improvement)
+        record.events.append(improvement)
         if state.sharing:
             _broadcast(state, evaluation)
     else:
@@ -190,15 +208,15 @@ def _broadcast(state: SchedulerState, evaluation) -> None:
     for share_mb in state.share_mailboxes.values():
         share_mb.put_drop_oldest(message)
     delivered = len(state.share_mailboxes)
-    state.broadcasts += delivered
-    state.events({"event": "broadcast", "seq": evaluation.seq,
-                  "delivered": delivered})
+    state.record.broadcasts += delivered
+    state.record.events.append({"event": "broadcast", "seq": evaluation.seq,
+                                "delivered": delivered})
 
 
 def _dispatch_idle(state: SchedulerState) -> None:
+    record = state.record
     while state.idle:
-        if state.budget.kind == "evaluations" \
-                and state.dispatches >= state.budget.limit:
+        if state.budget.kind == "evaluations" and _exhausted(state):
             return
         request = state.queues.next_request()
         if request is None:
@@ -206,27 +224,28 @@ def _dispatch_idle(state: SchedulerState) -> None:
         announcement = state.idle.popleft()
         announcement.content.set_result(request)
         state.busy.add(announcement.sender)
-        state.dispatches += 1
-        state.dispatches_per_solver[request.solver_id] += 1
-        state.events({
+        record.dispatches += 1
+        record.solver_dispatches[request.solver_id] += 1
+        record.events.append({
             "event": "dispatch",
             "evaluator": announcement.sender,
             "solver": request.solver_id,
-            "messages": state.msg_count,
-            "dispatches": state.dispatches,
+            "messages": record.messages,
+            "dispatches": record.dispatches,
         })
 
 
 def _refuse(state: SchedulerState, request: EvaluationRequest) -> None:
     if not request.reply.done():
         request.reply.set_exception(MailboxClosed(request.solver_id))
-    state.refusals += 1
-    state.events({"event": "refusal", "solver": request.solver_id})
+    state.record.refusals += 1
+    state.record.events.append({"event": "refusal",
+                                "solver": request.solver_id})
 
 
 def _settle(state: SchedulerState, message: Message) -> None:
     """Count a message taken during shutdown; refuse it if it asks for work."""
-    state.msg_count += 1
+    state.record.messages += 1
     if message.kind is MessageKind.EVALUATEPOINT:
         _refuse(state, message.content)
     else:
@@ -267,5 +286,6 @@ async def _shutdown(state: SchedulerState) -> Any:
         Message(MessageKind.RETRIEVEBEST, "scheduler", reply))
     snapshot = await reply
     state.analysis_inbox.close()
-    state.events({"event": "terminated", **state.counters()})
+    state.record.events.append({"event": "terminated",
+                                **state.record.counters()})
     return snapshot

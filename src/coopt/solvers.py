@@ -22,13 +22,13 @@ import asyncio
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, NoReturn, Optional
+from typing import NoReturn, Optional
 
 import numpy as np
 
 from coopt.core import Domain, Evaluation, dominates, freeze_point, pareto_key
 from coopt.messaging import Mailbox, Message, MessageKind
-from coopt.scheduler import P_MAX, EvaluationRequest, ignore_event
+from coopt.scheduler import P_MAX, EvaluationRequest, RunRecord
 
 CROSSOVER_RATE = 0.9
 MUTATION_SIGMA_FRACTION = 0.1
@@ -483,15 +483,15 @@ SOLVER_KINDS = {
 async def solver_loop(cfg: SolverConfig, domain: Domain,
                       initial_points: list[np.ndarray],
                       scheduler_inbox: Mailbox, share_inbox: Mailbox,
-                      events: Callable[[dict], None] = ignore_event,
-                      ) -> NoReturn:
+                      record: RunRecord) -> NoReturn:
     """Run one solver instance until the scheduler shuts the system down.
 
     Every solver receives the same ``initial_points`` (the shared initial
     population).  An MH solver evaluates them and steps one generation at a
     time, each with the shared solutions that arrived since the last; a DS
-    solver hands them to ``descend`` as its stack of starts.  It ends by
-    ``MailboxClosed``, its normal end, when the shutdown reaches it.
+    solver hands them to ``descend`` as its stack of starts.  Each new best
+    of its own goes to ``record`` as a ``solver-improvement`` event.  It
+    ends by ``MailboxClosed``, its normal end, when the shutdown reaches it.
     """
     solver_class, step, start = SOLVER_KINDS[cfg.kind]
     rng = np.random.default_rng(cfg.seed)
@@ -504,7 +504,7 @@ async def solver_loop(cfg: SolverConfig, domain: Domain,
         if len(evaluation.objectives) == 1 and not evaluation.failed:
             if local_best is None or dominates(evaluation, local_best):
                 local_best = evaluation
-                events({
+                record.events.append({
                     "event": "solver-improvement",
                     "solver": cfg.label,
                     "class": solver_class,

@@ -63,23 +63,25 @@ def run(agents, solvers):
 
 
 def test_small_run_completes_and_reports_best():
-    events, results = [], []
-    agents = wire(SPHERE3, ["s1"], 2, Budget.messages(200),
-                  events=events.append)
+    results = []
+    agents = wire(SPHERE3, ["s1"], 2, Budget.messages(200))
     state = agents.state
+    record = state.record
     points = [[i, 0, 0] for i in range(10, 0, -1)]
     archive = run(agents, [scripted_solver("s1", points, state.inbox, results,
                                            tail_point=[10, 0, 0])])
     assert [e.objectives[0] for e in results] == [
         float(i * i) for i in range(10, 0, -1)]
     assert archive.best.objectives == (1.0,)
-    assert state.dispatches >= 10
-    for s in agents.stats.values():
-        assert s.replies_delivered == s.evaluations == s.analysis_sent
-        assert s.requests - s.evaluations in (0, 1)
+    assert record.dispatches >= 10
+    for s in record.evaluators.values():
+        assert s["replies_delivered"] == s["evaluations"] \
+            == s["analysis_sent"]
+        assert s["requests"] - s["evaluations"] in (0, 1)
+    events = record.events
     assert sum(1 for e in events if e["event"] == "dispatch") \
-        == state.dispatches
-    assert [mb.capacity for mb in agents.mailboxes] == [8, 6, 4]
+        == record.dispatches
+    assert [mb.capacity for mb in record.mailboxes] == [8, 6, 4]
     assert [e["event"] for e in events[-5:]] == ["evaluator"] * 2 + [
         "mailbox"] * 3
 
@@ -101,16 +103,15 @@ def test_message_budget_zero_returns_empty_archive():
     archive = run(agents, [endless_solver("s1", agents.state.inbox, [],
                                           seed=1)])
     assert archive.best is None
-    assert agents.state.dispatches == 0
+    assert agents.state.record.dispatches == 0
 
 
 def test_evaluation_budget_is_exact():
-    events = []
-    agents = wire(SPHERE3, ["a", "b", "c"], 2, Budget.evaluations(7),
-                  events=events.append)
+    agents = wire(SPHERE3, ["a", "b", "c"], 2, Budget.evaluations(7))
     run(agents, [endless_solver(sid, agents.state.inbox, [], seed=i)
                  for i, sid in enumerate(("a", "b", "c"))])
-    assert agents.state.dispatches == 7
+    events = agents.state.record.events
+    assert agents.state.record.dispatches == 7
     assert sum(1 for e in events if e["event"] == "dispatch") == 7
     terminated = [e for e in events if e["event"] == "terminated"]
     assert terminated and terminated[0]["dispatches"] == 7
@@ -135,24 +136,24 @@ def test_sharing_broadcasts_to_all_share_mailboxes():
         shared[sid] = got
     # Three strictly improving evaluations -> three broadcast waves to the
     # two solvers; s2 idles so its ring (capacity 4) kept all three.
-    assert state.improvements == 3
+    assert len(agents.state.record.improvements) == 3
     assert [m.content.objectives[0] for m in shared["s2"]] == [25.0, 16.0, 9.0]
     assert all(m.kind is MessageKind.SHAREBEST for m in shared["s2"])
 
 
 def test_independent_mode_sends_no_sharebest():
-    events, results = [], []
-    agents = wire(SPHERE3, ["s1"], 1, Budget.messages(120), sharing=False,
-                  events=events.append)
+    results = []
+    agents = wire(SPHERE3, ["s1"], 1, Budget.messages(120), sharing=False)
     state = agents.state
+    record = state.record
     points = [[5, 0, 0], [4, 0, 0], [3, 0, 0]]
     run(agents, [scripted_solver("s1", points, state.inbox, results,
                                  tail_point=[5, 0, 0])])
-    assert state.broadcasts == 0
+    assert record.broadcasts == 0
     assert all(len(mb) == 0 for mb in state.share_mailboxes.values())
-    assert not [e for e in events if e["event"] == "broadcast"]
+    assert not [e for e in record.events if e["event"] == "broadcast"]
     # Improvements are still recorded so both modes leave the same trace shape.
-    assert state.improvements == 3
+    assert len(record.improvements) == 3
 
 
 def test_teardown_unblocks_waiting_solvers_and_evaluators():
@@ -209,10 +210,11 @@ def test_cancelled_solvers_do_not_crash_evaluator_or_scheduler():
         return outcomes, solvers
 
     outcomes, solvers = asyncio.run(go())
-    stats = agents.stats["eval-0"]
+    record = state.record
+    stats = record.evaluators["eval-0"]
     # Each agent ended its normal way: the shutdown's MailboxClosed.
     assert all(isinstance(o, MailboxClosed) for o in outcomes)
     assert all(isinstance(o, asyncio.CancelledError) for o in solvers)
-    assert (state.dispatches, state.refusals) == (1, 1)
-    assert (stats.evaluations, stats.replies_delivered) == (1, 0)
-    assert stats.analysis_sent == 1
+    assert (record.dispatches, record.refusals) == (1, 1)
+    assert (stats["evaluations"], stats["replies_delivered"]) == (1, 0)
+    assert stats["analysis_sent"] == 1

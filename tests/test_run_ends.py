@@ -32,7 +32,7 @@ import coopt.analysis
 from coopt.harness import (RunConfig, preset_config, run_agents,
                            run_experiment, run_once, wire, write_run_dir)
 from coopt.problems import registry_get
-from coopt.scheduler import P_MAX, Budget, ignore_event
+from coopt.scheduler import P_MAX, Budget
 from coopt.solvers import SOLVER_KINDS, SolverConfig, solver_loop
 
 CFG = preset_config("hen-protocol", "sphere-3", budget=Budget.messages(2000))
@@ -43,20 +43,16 @@ class ModelDied(BaseException):
     """Escapes ``evaluate_model``, which maps only ``Exception``s."""
 
 
-def hen_system(problem=SPHERE3, events=None):
-    """The wired agents and solver coroutines of one hen run, as run_once.
-
-    ``events``, if given, is a list that collects the run's event records.
-    """
+def hen_system(problem=SPHERE3):
+    """The wired agents and solver coroutines of one hen run, as run_once."""
     initial_points = problem.domain.random_population(
         np.random.default_rng(7), CFG.population_size)
     labels = [sc.label for sc in CFG.solvers]
-    agents = wire(problem, labels, CFG.n_evaluators, CFG.budget, True,
-                  ignore_event if events is None else events.append)
+    agents = wire(problem, labels, CFG.n_evaluators, CFG.budget, True)
     state = agents.state
     solvers = [solver_loop(replace(sc, seed=i), problem.domain,
                            initial_points, state.inbox,
-                           state.share_mailboxes[sc.label])
+                           state.share_mailboxes[sc.label], state.record)
                for i, sc in enumerate(CFG.solvers)]
     return agents, solvers
 
@@ -99,7 +95,7 @@ def failing_model(fault, on_call):
 def assert_aborted(agents, archive, errors, kind):
     assert archive is None
     assert errors and all(isinstance(e, kind) for e in errors)
-    assert agents.state.msg_count < CFG.budget.limit
+    assert agents.state.record.messages < CFG.budget.limit
 
 
 def raising_steps(monkeypatch, kinds):
@@ -140,29 +136,27 @@ def test_model_base_exception_kills_the_evaluator_and_aborts_the_run():
     agents, solvers = hen_system(failing_model(ModelDied("dead"), 50))
     archive, errors = run(agents, solvers)
     assert_aborted(agents, archive, errors, ModelDied)
-    assert sum(s.evaluations for s in agents.stats.values()) == 49
+    assert sum(s["evaluations"]
+               for s in agents.state.record.evaluators.values()) == 49
 
 
 def test_one_solver_raising_aborts_the_run(monkeypatch):
     raising_steps(monkeypatch, ["CS"])
-    events = []
-    agents, solvers = hen_system(events=events)
+    agents, solvers = hen_system()
     archive, errors = run(agents, solvers)
     assert_aborted(agents, archive, errors, RuntimeError)
     assert len(errors) == 1
     # The others ran: every solver had evaluations before the abort.
-    assert set(agents.state.dispatches_per_solver) == {
+    assert set(agents.state.record.solver_dispatches) == {
         sc.label for sc in CFG.solvers}
 
 
 def test_model_exception_on_first_call_is_a_sentinel_evaluation():
-    events = []
-    agents, solvers = hen_system(
-        failing_model(ValueError("bad point"), 1), events)
+    agents, solvers = hen_system(failing_model(ValueError("bad point"), 1))
     archive, errors = run(agents, solvers)
     assert not errors
-    assert agents.state.msg_count >= CFG.budget.limit  # ran to budget
-    improvements = [e for e in events if e["event"] == "improvement"]
+    assert agents.state.record.messages >= CFG.budget.limit  # ran to budget
+    improvements = agents.state.record.improvements
     assert (improvements[0]["seq"], improvements[0]["z"]) == (1, [math.inf])
     assert improvements[0]["g"] == math.inf
     assert not archive.best.failed
@@ -174,7 +168,7 @@ def test_cancelled_run_leaves_no_task_pending():
     async def go():
         task = asyncio.ensure_future(run_agents(agents, solvers))
         for _ in range(100_000):
-            if agents.state.msg_count >= 500:
+            if agents.state.record.messages >= 500:
                 break
             await asyncio.sleep(0)
         assert not task.done()
@@ -184,7 +178,7 @@ def test_cancelled_run_leaves_no_task_pending():
         return asyncio.all_tasks() - {asyncio.current_task()}
 
     assert asyncio.run(go()) == set()
-    assert 500 <= agents.state.msg_count < CFG.budget.limit
+    assert 500 <= agents.state.record.messages < CFG.budget.limit
 
 
 def test_aborted_run_is_flagged_and_written(tmp_path, monkeypatch):
@@ -322,19 +316,36 @@ def written(report, run_dir: Path) -> list[bytes]:
 def test_every_small_config_ends_and_replays(cfg, rep_index):
     """Valid at its exact budget, or flagged as stalled; never a hang.
 
-    Either way every mailbox ledger balances, and a second run of the same
-    config and repetition writes the same bytes.
+    Either way every mailbox ledger balances, the counters, trace and
+    evaluator records agree with the event log, and a second run of the
+    same config and repetition writes the same bytes.
     """
     report = bounded(lambda: run_once(cfg, rep_index), "fuzzed run")
     limit = cfg.budget.limit
+    counters = report.counters
     if not report.valid:
         assert report.error.startswith(
             "Stalled: the run stalled at message"), report.error
     elif cfg.budget.kind == "evaluations":
-        assert report.counters["dispatches"] == limit
+        assert counters["dispatches"] == limit
     else:
-        assert report.counters["messages"] >= limit
-    ledgers = [e for e in report.events if e["event"] == "mailbox"]
+        assert counters["messages"] >= limit
+
+    def events(kind):
+        return [e for e in report.events if e["event"] == kind]
+
+    assert counters["improvements"] == len(events("improvement")) \
+        == len(report.trace)
+    assert counters["dispatches"] == len(events("dispatch")) \
+        == sum(report.per_solver_evaluations.values()) \
+        == sum(e["evaluations"] for e in events("evaluator"))
+    assert counters["refusals"] == len(events("refusal"))
+    assert counters["broadcasts"] == sum(e["delivered"]
+                                         for e in events("broadcast"))
+    if report.valid:
+        terminated, = events("terminated")
+        assert terminated == {"event": "terminated", **counters}
+    ledgers = events("mailbox")
     assert len(ledgers) == 2 + len(cfg.solvers)
     for r in ledgers:
         assert r["puts"] == r["takes"] + r["drops"] + r["queued"], r

@@ -684,15 +684,16 @@ def test_solver_loops_run_against_real_scheduler(kind):
     agents = wire(problem, ["x", "sd"], 2, Budget.messages(800),
                   sharing=True)
     inbox, share_mbs = agents.state.inbox, agents.state.share_mailboxes
+    record = agents.state.record
     archive, errors = asyncio.run(asyncio.wait_for(run_agents(agents, [
         solver_loop(SolverConfig(kind, size_param=6, seed=1,
                                  instance_label="x"),
-                    problem.domain, initial, inbox, share_mbs["x"]),
+                    problem.domain, initial, inbox, share_mbs["x"], record),
         solver_loop(SolverConfig("SD", seed=2, instance_label="sd"),
-                    problem.domain, initial, inbox, share_mbs["sd"]),
+                    problem.domain, initial, inbox, share_mbs["sd"], record),
     ]), timeout=30))
     assert not errors
-    assert agents.state.dispatches_per_solver["x"] > 0
+    assert record.solver_dispatches["x"] > 0
     initial_best = min(float(np.sum(p**2)) for p in initial)
     assert archive.best is not None
     assert archive.best.objectives[0] < initial_best
