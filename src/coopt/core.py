@@ -31,7 +31,8 @@ class Domain:
     Parameters
     ----------
     lower, upper : array-like
-        Per-dimension bounds, lower <= upper.
+        Per-dimension finite bounds, lower <= upper, with ``upper - lower``
+        finite too.
     kinds : sequence of VarKind, optional
         Defaults to all-REAL.  Integer dimensions must have integer bounds.
 
@@ -58,13 +59,17 @@ class Domain:
         kinds = self.kinds or tuple(VarKind.REAL for _ in lower)
         if len(kinds) != lower.size:
             raise ValueError("one kind per dimension required")
+        with np.errstate(over="ignore", invalid="ignore"):
+            ranges = upper - lower
+        # The range is finite only if both bounds are: NaN and inf fail here.
+        if not np.isfinite(ranges).all():
+            raise ValueError("bounds and upper - lower must be finite")
         if np.any(lower > upper):
             raise ValueError("lower bound exceeds upper bound")
         for lo, hi, kind in zip(lower, upper, kinds):
             if kind is VarKind.INTEGER and (lo != round(lo) or hi != round(hi)):
                 raise ValueError("integer dimension with non-integer bounds")
         mask = np.array([k is VarKind.INTEGER for k in kinds], dtype=bool)
-        ranges = upper - lower
         for array in (lower, upper, mask, ranges):
             array.setflags(write=False)
         object.__setattr__(self, "lower", lower)

@@ -180,7 +180,7 @@ async def ga_step(members: list[Evaluation], cfg: SolverConfig,
         else:
             child = p1.point.copy()
         mutate = rng.random(n) < (1.0 / n)
-        noise = rng.normal(0.0, sigma)
+        noise = _mutation_noise(sigma, rng)
         child = domain.clip(np.where(mutate, child + noise, child))
         children.append(await evaluate(child))
     if cfg.size_param == 1:
@@ -188,8 +188,38 @@ async def ga_step(members: list[Evaluation], cfg: SolverConfig,
     return children
 
 
+def _mutation_noise(sigma: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """``rng.normal(0.0, sigma)``, bit for bit, at a quarter of its cost.
+
+    numpy computes each normal draw as ``loc + scale * standard_normal``, one
+    draw per element in order; with array arguments it also broadcasts and
+    checks them in Python, which is most of its cost on short vectors.  The
+    ``0.0 +`` turns a -0.0 product into +0.0, as numpy's ``loc +`` does.
+    """
+    return 0.0 + sigma * rng.standard_normal(sigma.size)
+
+
+def _runner_offset(low: np.ndarray, span: np.ndarray,
+                   rng: np.random.Generator) -> np.ndarray:
+    """``rng.uniform(low, high)`` with ``span = high - low``, bit for bit.
+
+    numpy computes each uniform draw as ``low + (high - low) * random``; the
+    span is computed once per parent here, not once per runner.
+    """
+    return low + span * rng.random(low.size)
+
+
 def _tournament(pool, fitness: list[float], rng) -> Evaluation:
-    i, j = rng.integers(0, len(pool), size=2).tolist()
+    """Binary tournament; ties go to the first pick.
+
+    Two scalar draws read the same bits as one ``integers(0, n, size=2)``
+    at about half its cost: below 2**32 numpy draws each value through PCG64's
+    ``next_uint32``, which keeps the spare half of a 64-bit draw in the bit
+    generator's state, not in a per-call buffer.
+    """
+    n = len(pool)
+    i = int(rng.integers(0, n))
+    j = int(rng.integers(0, n))
     return pool[i] if fitness[i] >= fitness[j] else pool[j]
 
 
@@ -211,8 +241,9 @@ async def ppa_step(members: list[Evaluation], cfg: SolverConfig,
         n_runners = math.ceil(f * PPA_MAX_RUNNERS)
         reach = (1.0 - f) * domain.ranges
         low = -reach
+        span = reach - low
         for _ in range(n_runners):
-            runner = domain.clip(parent.point + rng.uniform(low, reach))
+            runner = domain.clip(parent.point + _runner_offset(low, span, rng))
             offspring.append(await evaluate(runner))
     combined = selected + offspring
     return [combined[i] for i in _layer_order(combined)[:2 * cfg.size_param]]

@@ -168,3 +168,19 @@ def rosenbrock_gradient(point):
     grad[:-1] = -400.0 * d[:-1] * (d[1:] - d[:-1] ** 2) - 2.0 * (1.0 - d[:-1])
     grad[1:] += 200.0 * (d[1:] - d[:-1] ** 2)
     return grad
+
+
+def mutation_noise_reference(sigma, rng):
+    """GA mutation noise as first written: ``Generator.normal``."""
+    return rng.normal(0.0, sigma)
+
+
+def runner_offset_reference(low, reach, rng):
+    """A PPA runner's offset as first written: ``Generator.uniform``."""
+    return rng.uniform(low, reach)
+
+
+def tournament_reference(pool, fitness, rng):
+    """``solvers._tournament`` as first written: one ``size=2`` draw."""
+    i, j = rng.integers(0, len(pool), size=2).tolist()
+    return pool[i] if fitness[i] >= fitness[j] else pool[j]

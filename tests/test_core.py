@@ -13,6 +13,7 @@ from coopt.core import (
     Problem,
     VarKind,
     dominates,
+    box,
     evaluate_model,
     freeze_point,
     uniform_box,
@@ -48,6 +49,29 @@ def test_domain_validation():
         Domain(np.array([2.0]), np.array([1.0]))
     with pytest.raises(ValueError):
         Domain(np.array([0.5]), np.array([3.0]), (VarKind.INTEGER,))
+
+
+@pytest.mark.parametrize("lower, upper", [
+    ([math.nan, 0.0], [1.0, 1.0]),
+    ([0.0], [math.nan]),
+    ([-math.inf], [math.inf]),
+    ([0.0], [math.inf]),
+    ([-math.inf], [0.0]),
+    ([math.inf], [math.inf]),
+    ([-1e308], [1e308]),  # finite bounds whose range overflows
+])
+def test_domain_refuses_non_finite_bounds(lower, upper):
+    with pytest.raises(ValueError):
+        box(lower, upper)
+    with pytest.raises(ValueError):
+        box(lower, upper, [VarKind.INTEGER] * len(lower))
+
+
+def test_domain_with_the_widest_finite_range_draws_finite_points():
+    dom = box([-8e307], [8e307])
+    assert dom.ranges.tolist() == [1.6e308]
+    rng = np.random.default_rng(0)
+    assert all(np.isfinite(dom.random_point(rng)).all() for _ in range(100))
 
 
 def test_domain_clip_rounds_integer_dims():

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopt.core import Domain, Evaluation, VarKind, freeze_point, uniform_box
 from coopt.messaging import Mailbox, MailboxClosed, Message, MessageKind
@@ -27,12 +29,18 @@ from coopt.solvers import (
     scalarize,
     sd_step,
     solver_loop,
+    _mutation_noise,
+    _runner_offset,
+    _tournament,
 )
 from oracles import (
     domain_contains,
     golden_section_minimum,
+    mutation_noise_reference,
     rosenbrock_gradient,
+    runner_offset_reference,
     sphere_gradient,
+    tournament_reference,
 )
 
 BOX5 = uniform_box(-5.0, 5.0, 2)
@@ -286,6 +294,78 @@ def test_ga_children_respect_bounds_and_integer_dims():
     for p in calls:
         assert domain_contains(domain, p)
         assert p[1] == round(p[1])
+
+
+# ------------------------------------------------------- exact RNG draws
+# The operators draw through cheaper numpy calls than they were first
+# written with; the old calls are the oracle.  Each step runs both forms
+# from the same state and must give the same bytes and leave the bit
+# generator in the same state, PCG64's spare 32-bit half included, so
+# every later draw matches too.
+
+SCALE = st.one_of(st.sampled_from([0.0, 5e-324, 1e300]),
+                  st.floats(1e-300, 1e300))
+# numpy's normal and uniform refuse a -0.0 scale; see the test after this.
+RNG_STEP = st.one_of(
+    st.tuples(st.sampled_from(["noise", "runner"]),
+              st.lists(SCALE, min_size=1, max_size=12)),
+    st.tuples(st.just("tournament"), st.integers(1, 200)))
+
+
+def _tournament_picks(tournament, n, rng):
+    """A tournament over range(n) under three fitness orders, from one state.
+
+    Equal fitness picks the first draw, ascending the larger and descending
+    the smaller; the three picks fix both draws.
+    """
+    state = rng.bit_generator.state
+    picks = []
+    for fitness in ([0.0] * n, list(range(n)), list(range(n, 0, -1))):
+        rng.bit_generator.state = state
+        picks.append(tournament(range(n), fitness, rng))
+    return np.array(picks)
+
+
+def _rng_step(step, rng, reference):
+    kind, arg = step
+    if kind == "tournament":
+        return _tournament_picks(
+            tournament_reference if reference else _tournament, arg, rng)
+    scale = np.array(arg)
+    if kind == "noise":
+        return (mutation_noise_reference(scale, rng) if reference
+                else _mutation_noise(scale, rng))
+    low = -scale
+    if reference:
+        return runner_offset_reference(low, scale, rng)
+    return _runner_offset(low, scale - low, rng)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(0, 2**64 - 1), st.lists(RNG_STEP, min_size=1, max_size=6))
+def test_operator_draws_match_the_numpy_calls_they_replace(seed, steps):
+    new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+    for step in steps:
+        got, expected = _rng_step(step, new, False), _rng_step(step, old, True)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+        assert new.bit_generator.state == old.bit_generator.state
+
+
+@pytest.mark.parametrize("kind", ["noise", "runner"])
+def test_a_negative_zero_scale_draws_as_positive_zero(kind):
+    # A flat dimension bounded by +0.0 below and -0.0 above has range -0.0.
+    # There numpy's normal raises "scale < 0" and uniform "high - low < 0";
+    # the rewrites draw what numpy draws at +0.0.
+    flat = Domain(np.array([0.0, -1.0]), np.array([-0.0, 1.0]))
+    assert np.signbit(flat.ranges[0])
+    with pytest.raises(ValueError):
+        _rng_step((kind, flat.ranges.tolist()), np.random.default_rng(0), True)
+    new, old = np.random.default_rng(4), np.random.default_rng(4)
+    got = _rng_step((kind, [-0.0] * 5), new, False)
+    assert got.tobytes() == _rng_step((kind, [0.0] * 5), old, True).tobytes()
+    assert got.tobytes() == np.zeros(5).tobytes()
+    assert new.bit_generator.state == old.bit_generator.state
 
 
 # ----------------------------------------------------------------- PPA
