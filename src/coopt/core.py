@@ -185,7 +185,10 @@ def evaluate_model(problem: Problem, point: np.ndarray,
     already is one and owns its data (``base is None``), as
     ``proxy_objective`` sends, is not copied again; anything else (a
     writable array, a view, another dtype, a list) is copied by
-    ``freeze_point``.
+    ``freeze_point``.  Objectives given as a float, or as a tuple of
+    floats, are kept as they are; any other form goes through
+    ``np.atleast_1d`` and ``float`` of each value, which would give those
+    two the same values.
     """
     if not (type(point) is np.ndarray and point.base is None
             and not point.flags.writeable and point.dtype == np.float64):
@@ -194,6 +197,8 @@ def evaluate_model(problem: Problem, point: np.ndarray,
         raw_z, raw_g = problem.model(point, problem.parameters)
         if type(raw_z) is float:
             z = (raw_z,)
+        elif type(raw_z) is tuple and all(type(v) is float for v in raw_z):
+            z = raw_z
         else:
             z = tuple(float(v) for v in np.atleast_1d(raw_z))
         g = float(raw_g)

@@ -41,7 +41,6 @@ import json
 import time
 from dataclasses import dataclass, replace
 from functools import partial
-from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
@@ -54,7 +53,8 @@ from coopt.evaluator import evaluator_loop, evaluator_record
 from coopt.messaging import Mailbox, MailboxClosed
 from coopt.metrics import MEASURES, front_measures
 from coopt.problems import front_samples, registry_get
-from coopt.scheduler import Budget, RunRecord, SchedulerState, scheduler_loop
+from coopt.scheduler import (Budget, EventLog, RunRecord, SchedulerState,
+                              scheduler_loop)
 from coopt.solvers import SolverConfig, solver_loop
 
 MODES = (("independent", False), ("cooperating", True))
@@ -101,7 +101,12 @@ class RunConfig:
 
 @dataclass
 class RunReport:
-    """Outcome of one run: archive, improvement trace, counters, metrics."""
+    """Outcome of one run: archive, improvement trace, counters, metrics.
+
+    ``events`` is the run's ``EventLog``: reading it gives every event as
+    a dict, a dispatch's built from its row when read, and its ``write``
+    renders events.log.
+    """
 
     problem: str
     mode: str
@@ -115,7 +120,7 @@ class RunReport:
     wall_time: float
     valid: bool
     error: str
-    events: list[dict]
+    events: EventLog
 
     def best_value(self) -> Optional[float]:
         if self.archive is None or self.archive.best is None:
@@ -572,25 +577,6 @@ def write_run_csvs(run_dir, summary: dict) -> None:
         _write_csv(Path(run_dir) / name, header, rows)
 
 
-def write_events_log(path, events: list[dict]) -> None:
-    """One JSON object per line, keys sorted, as ``json.dumps`` writes them.
-
-    One C encoder serves every record: ``json.dumps`` and
-    ``JSONEncoder.encode`` build a new one, and a new circular-reference
-    table, per call, and a hen run has ~30k events.  The encoder comes from
-    the private ``json.encoder.c_make_encoder``, with the arguments
-    ``JSONEncoder(sort_keys=True)`` passes it, alike on Python 3.11 to
-    3.13, but no circular-reference table: a record is a tree.  The lines
-    are streamed, not joined first: the joined text would add ~7 MB to a
-    hen run's peak RSS.
-    """
-    encode = c_make_encoder(None, json.JSONEncoder().default,
-                            encode_basestring_ascii, None, ": ", ", ",
-                            True, False, True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines("".join(encode(record, 0)) + "\n" for record in events)
-
-
 def report_summary(report: RunReport) -> dict:
     """The JSON-serializable run summary (everything but the raw events).
 
@@ -625,7 +611,7 @@ def write_run_dir(run_dir, report: RunReport) -> Path:
     run_dir.mkdir(parents=True, exist_ok=True)
     summary = report_summary(report)
     write_run_csvs(run_dir, summary)
-    write_events_log(run_dir / "events.log", report.events)
+    report.events.write(run_dir / "events.log")
     # One line: ``indent`` would force the pure-Python encoder, which costs
     # several times as much on a large front.
     (run_dir / "report.json").write_text(
@@ -674,7 +660,8 @@ def run_experiment(cfg: RunConfig) -> dict:
                 kept[mode].append((report.best_value(), report.metrics_row))
             else:
                 failures.append(f"{mode}-rep{rep:02d}: {report.error}")
-            del report  # a hen run's ~30k events: not held over the next run
+            # A hen run's ~30k events (~3.3 MB): not held over the next run.
+            del report
 
     summary = {
         "problem": cfg.problem,

@@ -10,8 +10,12 @@ protocol that unblocks all other agents.
 from __future__ import annotations
 
 import asyncio
+import json
+from bisect import bisect_left
 from collections import Counter, deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, NamedTuple, Optional
 
 from coopt.messaging import Mailbox, MailboxClosed, Message, MessageKind
@@ -102,19 +106,118 @@ class Budget:
         return cls("evaluations", limit)
 
 
+class EventLog(Sequence):
+    """A run's event log: every event, in order, read as dicts.
+
+    A hen run logs ~30k ``dispatch`` events, so the log keeps each as a
+    row ``(evaluator, solver, messages)`` (~110 B) instead of a 5-key dict
+    (~250 B).  A row stores no ``dispatches`` value: the scheduler logs
+    each dispatch right after counting it, so that value is the row's
+    ordinal among the rows.  Every other event is kept as the dict given
+    to ``append``.  Iteration, indexing and slicing build a dispatch's dict
+    when it is read, with the keys in the order shown by
+    ``_dispatch_event``; ``write`` renders the rows without building it.
+    """
+
+    __slots__ = ("_entries", "_dict_positions")
+
+    def __init__(self):
+        self._entries: list = []  # rows (tuples) and dict events
+        self._dict_positions: list[int] = []  # ascending
+
+    def append(self, event: dict) -> None:
+        self._dict_positions.append(len(self._entries))
+        self._entries.append(event)
+
+    def dispatch(self, evaluator: str, solver: str, messages: int) -> None:
+        """Log the dispatch just counted, as its row."""
+        self._entries.append((evaluator, solver, messages))
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __iter__(self):
+        ordinal = 0
+        for entry in self._entries:
+            if type(entry) is tuple:
+                ordinal += 1
+                yield _dispatch_event(entry, ordinal)
+            else:
+                yield entry
+
+    def __getitem__(self, index):
+        # The position or positions asked for, IndexError out of range.
+        positions = range(len(self._entries))[index]
+        if isinstance(positions, range):
+            return [self[i] for i in positions]
+        entry = self._entries[positions]
+        if type(entry) is not tuple:
+            return entry
+        return _dispatch_event(entry, positions + 1 - bisect_left(
+            self._dict_positions, positions))
+
+    def write(self, path) -> None:
+        """Write the log as events.log: one JSON object per line, keys
+        sorted, as ``json.dumps(event, sort_keys=True)`` writes each event
+        that iteration yields.
+
+        A row goes through ``_DISPATCH_LINE``, its labels through
+        ``encode_basestring_ascii`` as ``json.dumps`` encodes strings.
+        One C encoder serves every other record: ``json.dumps`` and
+        ``JSONEncoder.encode`` build a new one, and a new
+        circular-reference table, per call.  The encoder comes from the
+        private ``json.encoder.c_make_encoder``, with the arguments
+        ``JSONEncoder(sort_keys=True)`` passes it, alike on Python 3.11 to
+        3.13, but no circular-reference table: a record is a tree.  The
+        lines are streamed, not joined first: the joined text would add
+        ~7 MB to a hen run's peak RSS.
+        """
+        encode = c_make_encoder(None, json.JSONEncoder().default,
+                                encode_basestring_ascii, None, ": ", ", ",
+                                True, False, True)
+
+        def lines():
+            ordinal = 0
+            for entry in self._entries:
+                if type(entry) is tuple:
+                    ordinal += 1
+                    evaluator, solver, messages = entry
+                    yield _DISPATCH_LINE % (
+                        ordinal, encode_basestring_ascii(evaluator),
+                        messages, encode_basestring_ascii(solver))
+                else:
+                    yield "".join(encode(entry, 0)) + "\n"
+
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(lines())
+
+
+# A dispatch event's events.log line: its keys sorted, as json.dumps
+# writes them; the labels come JSON-encoded.
+_DISPATCH_LINE = ('{"dispatches": %d, "evaluator": %s, "event": "dispatch", '
+                  '"messages": %d, "solver": %s}\n')
+
+
+def _dispatch_event(row: tuple, ordinal: int) -> dict:
+    evaluator, solver, messages = row
+    return {"event": "dispatch", "evaluator": evaluator, "solver": solver,
+            "messages": messages, "dispatches": ordinal}
+
+
 @dataclass
 class RunRecord:
     """One run's event log and counts, written into as the run goes.
 
-    The scheduler counts into it, each evaluator into its own dict in
-    ``evaluators``, and the solvers add their ``solver-improvement``
+    The scheduler counts into it and logs each dispatch as a row of
+    ``events`` (an ``EventLog``), each evaluator counts into its own dict
+    in ``evaluators``, and the solvers add their ``solver-improvement``
     events.  ``close`` ends the log with the evaluator records, then one
     ledger record per mailbox.
     """
 
     mailboxes: list[Mailbox]
     evaluators: dict[str, dict]  # evaluator id -> its "evaluator" record
-    events: list[dict] = field(default_factory=list)
+    events: EventLog = field(default_factory=EventLog)
     messages: int = 0
     dispatches: int = 0
     broadcasts: int = 0
@@ -133,9 +236,10 @@ class RunRecord:
         }
 
     def close(self) -> None:
-        self.events.extend(self.evaluators.values())
-        self.events.extend({"event": "mailbox", **mb.stats()}
-                           for mb in self.mailboxes)
+        for evaluator in self.evaluators.values():
+            self.events.append(evaluator)
+        for mb in self.mailboxes:
+            self.events.append({"event": "mailbox", **mb.stats()})
 
 
 @dataclass
@@ -226,13 +330,8 @@ def _dispatch_idle(state: SchedulerState) -> None:
         state.busy.add(announcement.sender)
         record.dispatches += 1
         record.solver_dispatches[request.solver_id] += 1
-        record.events.append({
-            "event": "dispatch",
-            "evaluator": announcement.sender,
-            "solver": request.solver_id,
-            "messages": record.messages,
-            "dispatches": record.dispatches,
-        })
+        record.events.dispatch(announcement.sender, request.solver_id,
+                               record.messages)
 
 
 def _refuse(state: SchedulerState, request: EvaluationRequest) -> None:

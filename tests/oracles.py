@@ -5,10 +5,12 @@ Monte-Carlo estimates, hand formulas) so agreement with the library is
 evidence rather than tautology.
 """
 
+import math
+
 import numpy as np
 
-from coopt.core import dominates
-from coopt.scheduler import P_MAX
+from coopt.core import INFEASIBLE_SENTINEL, Evaluation, dominates, freeze_point
+from coopt.scheduler import P_MAX, EventLog
 
 
 def objective_key(evaluation):
@@ -184,3 +186,43 @@ def tournament_reference(pool, fitness, rng):
     """``solvers._tournament`` as first written: one ``size=2`` draw."""
     i, j = rng.integers(0, len(pool), size=2).tolist()
     return pool[i] if fitness[i] >= fitness[j] else pool[j]
+
+
+def evaluate_model_reference(problem, point, solver_id="", seq=-1):
+    """``core.evaluate_model`` as first written: objectives in any form but
+    a bare float go through ``np.atleast_1d`` and ``float`` one by one."""
+    point = freeze_point(point)
+    sentinel = Evaluation(point, (INFEASIBLE_SENTINEL,) * problem.n_obj,
+                          INFEASIBLE_SENTINEL, solver_id, seq)
+    try:
+        raw_z, raw_g = problem.model(point, problem.parameters)
+        if type(raw_z) is float:
+            z = (raw_z,)
+        else:
+            z = tuple(float(v) for v in np.atleast_1d(raw_z))
+        g = float(raw_g)
+    except Exception:
+        return sentinel
+    if len(z) != problem.n_obj or not all(map(math.isfinite, z)) \
+            or not math.isfinite(g):
+        return sentinel
+    return Evaluation(point, z, g, solver_id, seq)
+
+
+def logged_events(entries):
+    """An ``EventLog`` of ``entries`` (dispatch rows as tuples
+    ``(evaluator, solver, messages)``, other events as dicts) and the list
+    of dicts ``_dispatch_idle`` once appended in its place."""
+    log, expected, dispatches = EventLog(), [], 0
+    for entry in entries:
+        if isinstance(entry, tuple):
+            log.dispatch(*entry)
+            dispatches += 1
+            evaluator, solver, messages = entry
+            expected.append({"event": "dispatch", "evaluator": evaluator,
+                             "solver": solver, "messages": messages,
+                             "dispatches": dispatches})
+        else:
+            log.append(entry)
+            expected.append(entry)
+    return log, expected

@@ -19,7 +19,7 @@ from coopt.core import (
     uniform_box,
 )
 from coopt.problems import registry_get
-from oracles import clip_reference, domain_contains
+from oracles import clip_reference, domain_contains, evaluate_model_reference
 
 
 def _sphere_model(point, _params):
@@ -279,6 +279,41 @@ def test_non_finite_objective_forms_give_the_sentinel(wrap, bad):
     prob = Problem("forms", uniform_box(-5.0, 5.0, 2), 1, model)
     e = evaluate_model(prob, np.array([1.0, 2.0]))
     assert e.failed and e.objectives == (math.inf,)
+
+
+_RAW_SCALARS = st.one_of(
+    st.floats(),  # ±0.0, ±inf and NaN included
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+    st.integers(-2**70, 2**70), st.booleans(),
+    st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64))
+_RAW_OBJECTIVES = st.one_of(
+    _RAW_SCALARS,
+    st.lists(st.floats(), max_size=4).map(tuple),  # the tuple fast path
+    st.lists(_RAW_SCALARS, max_size=4).map(tuple),
+    st.lists(_RAW_SCALARS, max_size=4),
+    st.lists(st.floats(), max_size=4).map(np.array))
+
+
+def _exact(values):
+    """Values with their types and signs of zero, NaN as a string."""
+    return [(type(v), repr(v)) for v in values]
+
+
+@settings(deadline=None, max_examples=400)
+@given(raw_z=_RAW_OBJECTIVES, raw_g=_RAW_SCALARS, n_obj=st.integers(1, 3))
+def test_evaluate_model_matches_the_reference_conversion(raw_z, raw_g, n_obj):
+    """Every objective form (a float, a tuple of floats, anything else)
+    gives the evaluation the general ``np.atleast_1d`` path gives it."""
+    prob = Problem("raw", uniform_box(0.0, 1.0, 2), n_obj,
+                   lambda _point, _params: (raw_z, raw_g))
+    point = freeze_point([0.5, 0.5])
+    got = evaluate_model(prob, point, solver_id="s", seq=3)
+    want = evaluate_model_reference(prob, point, solver_id="s", seq=3)
+    assert type(got.objectives) is tuple
+    assert _exact(got.objectives) == _exact(want.objectives)
+    assert _exact([got.constraint]) == _exact([want.constraint])
+    assert (got.solver_id, got.seq) == (want.solver_id, want.seq) == ("s", 3)
 
 
 # -------------------------------------------- one objective: better-than

@@ -1,8 +1,10 @@
 """Config parsing, presets, single runs, experiment layout, and the CLI."""
 
 import codecs
+import gc
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -20,8 +22,9 @@ from coopt.harness import (
     write_run_dir,
 )
 from coopt.metrics import MEASURES
-from coopt.scheduler import Budget
+from coopt.scheduler import Budget, EventLog
 from coopt.solvers import SolverConfig
+from oracles import logged_events
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -444,20 +447,49 @@ def test_archive_csv_round_trip(tmp_path):
 
 
 def test_events_log_lines_equal_json_dumps(tmp_path):
+    # Dicts are events as given; tuples are dispatch rows.
     records = [
         {"event": "improvement", "solver": 'ga "small" \u00e9\u2603\\',
          "z": [1.5, -0.0, 1e-320, 1e300], "seq": 2**70},
+        ("evaluator-0", 'ga "small" \u00e9\u2603\\', 7),
         {"values": [math.nan, math.inf, -math.inf], "nested": [[1, [None]],
          {"b": True, "a": False}], "label\n\u00fc": None},
+        ('ev\n"\\\t\u0000', "\U0001f600 \u00fc\r\n", 2**70),
         {},
+        ("", "", 0),
         {"only": "ascii"},
     ]
+    log, expected = logged_events(records)
+    assert list(log) == expected
     path = tmp_path / "events.log"
-    harness.write_events_log(path, records)
+    log.write(path)
     lines = path.read_text(encoding="utf-8").split("\n")
-    assert lines == [json.dumps(r, sort_keys=True) for r in records] + [""]
+    assert lines == [json.dumps(r, sort_keys=True) for r in expected] + [""]
+    bad = EventLog()
+    bad.append({"x": object()})
     with pytest.raises(TypeError, match="not JSON serializable"):
-        harness.write_events_log(tmp_path / "bad.log", [{"x": object()}])
+        bad.write(tmp_path / "bad.log")
+
+
+def test_a_dispatch_event_costs_at_most_128_bytes():
+    """The log keeps a dispatch as a row, not as a 5-key dict (~250 B)."""
+    cfg = preset_config("hen-protocol", "ridge-basin-10",
+                        budget=Budget.messages(6_000), seed=1)
+    tracemalloc.start()
+    try:
+        report = run_once(cfg, 0)
+        # The other events stay referenced, so only the dispatches go.
+        others = [e for e in report.events if e["event"] != "dispatch"]
+        dispatches = len(report.events) - len(others)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        report.events = None
+        gc.collect()
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert dispatches == report.counters["dispatches"] > 2_000
+    assert freed <= 128 * dispatches, freed / dispatches
 
 
 # ---------------------------------------------------------------------- CLI
