@@ -14,6 +14,7 @@ Usage: python3 demos/message_flow_walkthrough.py
 """
 
 import asyncio
+import itertools
 import sys
 from collections import Counter
 from pathlib import Path
@@ -145,7 +146,7 @@ def full_run():
 
     events = record.events
     print("\nfirst events in the run's record:")
-    for event in events[:6]:
+    for event in itertools.islice(events, 6):
         print("  ", event)
     print(f"  ... {len(events)} events total:",
           dict(Counter(e["event"] for e in events)))

@@ -15,18 +15,13 @@ from coopt.core import Problem, evaluate_model
 from coopt.messaging import Mailbox, Message, MessageKind
 
 
-def evaluator_record(evaluator_id: str) -> dict:
-    """An evaluator's protocol counters, as its ``evaluator`` event."""
-    return {"event": "evaluator", "evaluator": evaluator_id, "requests": 0,
-            "evaluations": 0, "replies_delivered": 0, "analysis_sent": 0}
-
-
 async def evaluator_loop(problem: Problem, scheduler_inbox: Mailbox,
                          analysis_inbox: Mailbox, seq: Iterator[int],
                          record: dict) -> NoReturn:
     """Serve evaluation requests until the run ends (``MailboxClosed``).
 
-    The evaluator counts into its ``record``.  ``seq`` is shared by all
+    The evaluator counts into its ``record``, which
+    ``RunRecord.evaluator`` made.  ``seq`` is shared by all
     evaluators of a run and numbers evaluations globally in completion order.
     """
     evaluator_id = record["evaluator"]

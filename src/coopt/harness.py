@@ -49,7 +49,7 @@ import numpy as np
 from coopt import runloop
 from coopt.analysis import MULTI, SINGLE, Archive, analysis_loop
 from coopt.core import Problem
-from coopt.evaluator import evaluator_loop, evaluator_record
+from coopt.evaluator import evaluator_loop
 from coopt.messaging import Mailbox, MailboxClosed
 from coopt.metrics import MEASURES, front_measures
 from coopt.problems import front_samples, registry_get
@@ -381,9 +381,7 @@ def wire(problem: Problem, solver_labels, n_evaluators: int, budget: Budget,
     share_mbs = {label: Mailbox(4, name=f"share:{label}")
                  for label in solver_labels}
     record = RunRecord(
-        mailboxes=[scheduler_inbox, analysis_inbox, *share_mbs.values()],
-        evaluators={f"eval-{i}": evaluator_record(f"eval-{i}")
-                    for i in range(n_evaluators)})
+        mailboxes=[scheduler_inbox, analysis_inbox, *share_mbs.values()])
     state = SchedulerState(
         inbox=scheduler_inbox,
         share_mailboxes=share_mbs,
@@ -398,8 +396,8 @@ def wire(problem: Problem, solver_labels, n_evaluators: int, budget: Budget,
                                 Archive(mode))]
     coroutines += [
         evaluator_loop(problem, scheduler_inbox, analysis_inbox, seq,
-                       evaluator)
-        for evaluator in record.evaluators.values()
+                       record.evaluator(f"eval-{i}"))
+        for i in range(n_evaluators)
     ]
     return Agents(state, coroutines)
 
@@ -457,16 +455,7 @@ def run_once(cfg: RunConfig, rep_index: int) -> RunReport:
     agents = wire(problem, labels, cfg.n_evaluators, cfg.budget, cfg.sharing)
     state = agents.state
     record = state.record
-    record.events.append({
-        "event": "run-start",
-        "problem": cfg.problem,
-        "mode": mode,
-        "rep_index": rep_index,
-        "np": cfg.population_size,
-        "solvers": labels,
-        "initial_population": [[float(v) for v in p]
-                               for p in initial_points],
-    })
+    record.run_start(cfg.problem, mode, rep_index, labels, initial_points)
     solvers = [solver_loop(sc, problem.domain, initial_points, state.inbox,
                            state.share_mailboxes[sc.label], record)
                for sc in solver_cfgs]

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import asyncio
 import json
-from bisect import bisect_left
 from collections import Counter, deque
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, NamedTuple, Optional
@@ -106,32 +104,26 @@ class Budget:
         return cls("evaluations", limit)
 
 
-class EventLog(Sequence):
+class EventLog:
     """A run's event log: every event, in order, read as dicts.
 
     A hen run logs ~30k ``dispatch`` events, so the log keeps each as a
     row ``(evaluator, solver, messages)`` (~110 B) instead of a 5-key dict
-    (~250 B).  A row stores no ``dispatches`` value: the scheduler logs
-    each dispatch right after counting it, so that value is the row's
+    (~250 B).  A row stores no ``dispatches`` value: ``RunRecord.dispatch``
+    logs each dispatch right after counting it, so that value is the row's
     ordinal among the rows.  Every other event is kept as the dict given
-    to ``append``.  Iteration, indexing and slicing build a dispatch's dict
-    when it is read, with the keys in the order shown by
-    ``_dispatch_event``; ``write`` renders the rows without building it.
+    to ``append``.  Iteration builds a dispatch's dict when it is read;
+    ``write`` renders the rows without building it.
     """
 
-    __slots__ = ("_entries", "_dict_positions")
+    __slots__ = ("_entries",)
 
     def __init__(self):
         self._entries: list = []  # rows (tuples) and dict events
-        self._dict_positions: list[int] = []  # ascending
 
-    def append(self, event: dict) -> None:
-        self._dict_positions.append(len(self._entries))
-        self._entries.append(event)
-
-    def dispatch(self, evaluator: str, solver: str, messages: int) -> None:
-        """Log the dispatch just counted, as its row."""
-        self._entries.append((evaluator, solver, messages))
+    def append(self, entry) -> None:
+        """Log a dispatch row (a tuple) or any other event (a dict)."""
+        self._entries.append(entry)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -141,20 +133,12 @@ class EventLog(Sequence):
         for entry in self._entries:
             if type(entry) is tuple:
                 ordinal += 1
-                yield _dispatch_event(entry, ordinal)
+                evaluator, solver, messages = entry
+                yield {"event": "dispatch", "evaluator": evaluator,
+                       "solver": solver, "messages": messages,
+                       "dispatches": ordinal}
             else:
                 yield entry
-
-    def __getitem__(self, index):
-        # The position or positions asked for, IndexError out of range.
-        positions = range(len(self._entries))[index]
-        if isinstance(positions, range):
-            return [self[i] for i in positions]
-        entry = self._entries[positions]
-        if type(entry) is not tuple:
-            return entry
-        return _dispatch_event(entry, positions + 1 - bisect_left(
-            self._dict_positions, positions))
 
     def write(self, path) -> None:
         """Write the log as events.log: one JSON object per line, keys
@@ -198,25 +182,20 @@ _DISPATCH_LINE = ('{"dispatches": %d, "evaluator": %s, "event": "dispatch", '
                   '"messages": %d, "solver": %s}\n')
 
 
-def _dispatch_event(row: tuple, ordinal: int) -> dict:
-    evaluator, solver, messages = row
-    return {"event": "dispatch", "evaluator": evaluator, "solver": solver,
-            "messages": messages, "dispatches": ordinal}
-
-
 @dataclass
 class RunRecord:
     """One run's event log and counts, written into as the run goes.
 
-    The scheduler counts into it and logs each dispatch as a row of
-    ``events`` (an ``EventLog``), each evaluator counts into its own dict
-    in ``evaluators``, and the solvers add their ``solver-improvement``
-    events.  ``close`` ends the log with the evaluator records, then one
-    ledger record per mailbox.
+    Every record of ``events`` (an ``EventLog``) is made here, by one
+    method per event kind, and each method bumps the counts its event
+    carries.  The scheduler counts its messages into ``messages``, and
+    each evaluator counts into the record ``evaluator`` made for it.
+    ``close`` ends the log with the evaluator records, then one ledger
+    record per mailbox.
     """
 
     mailboxes: list[Mailbox]
-    evaluators: dict[str, dict]  # evaluator id -> its "evaluator" record
+    evaluators: dict[str, dict] = field(default_factory=dict)  # id -> record
     events: EventLog = field(default_factory=EventLog)
     messages: int = 0
     dispatches: int = 0
@@ -224,6 +203,59 @@ class RunRecord:
     refusals: int = 0
     solver_dispatches: Counter = field(default_factory=Counter)
     improvements: list[dict] = field(default_factory=list)
+
+    def run_start(self, problem: str, mode: str, rep_index: int,
+                  solvers: list[str], initial_points) -> None:
+        self.events.append({
+            "event": "run-start", "problem": problem, "mode": mode,
+            "rep_index": rep_index, "np": len(initial_points),
+            "solvers": solvers,
+            "initial_population": [[float(v) for v in p]
+                                   for p in initial_points]})
+
+    def evaluator(self, evaluator_id: str) -> dict:
+        """A new evaluator's protocol counters, as its ``evaluator`` event."""
+        record = self.evaluators[evaluator_id] = {
+            "event": "evaluator", "evaluator": evaluator_id, "requests": 0,
+            "evaluations": 0, "replies_delivered": 0, "analysis_sent": 0}
+        return record
+
+    def dispatch(self, evaluator: str, solver: str) -> None:
+        """Count a dispatch and log it as its row."""
+        self.dispatches += 1
+        self.solver_dispatches[solver] += 1
+        self.events.append((evaluator, solver, self.messages))
+
+    def improvement(self, evaluation) -> None:
+        """An archive improvement: a trace row and an event."""
+        improvement = {
+            "event": "improvement",
+            "seq": evaluation.seq,
+            "solver": evaluation.solver_id,
+            "z": list(evaluation.objectives),
+            "g": evaluation.constraint,
+            "messages": self.messages,
+            "dispatches": self.dispatches,
+        }
+        self.improvements.append(improvement)
+        self.events.append(improvement)
+
+    def broadcast(self, seq: int, delivered: int) -> None:
+        self.broadcasts += delivered
+        self.events.append({"event": "broadcast", "seq": seq,
+                            "delivered": delivered})
+
+    def refusal(self, solver: str) -> None:
+        self.refusals += 1
+        self.events.append({"event": "refusal", "solver": solver})
+
+    def solver_improvement(self, label: str, solver_class: str,
+                           evaluation) -> None:
+        """A new best of one solver's own."""
+        self.events.append({
+            "event": "solver-improvement", "solver": label,
+            "class": solver_class, "seq": evaluation.seq,
+            "z": list(evaluation.objectives)})
 
     def counters(self) -> dict:
         """The run's totals, as ``report.counters`` and the last event."""
@@ -234,6 +266,9 @@ class RunRecord:
             "refusals": self.refusals,
             "improvements": len(self.improvements),
         }
+
+    def terminated(self) -> None:
+        self.events.append({"event": "terminated", **self.counters()})
 
     def close(self) -> None:
         for evaluator in self.evaluators.values():
@@ -288,18 +323,7 @@ def _handle(state: SchedulerState, message: Message) -> None:
         state.idle.append(message)
     elif message.kind is MessageKind.ANALYSESOLUTION:
         evaluation = message.content
-        record = state.record
-        improvement = {
-            "event": "improvement",
-            "seq": evaluation.seq,
-            "solver": evaluation.solver_id,
-            "z": list(evaluation.objectives),
-            "g": evaluation.constraint,
-            "messages": record.messages,
-            "dispatches": record.dispatches,
-        }
-        record.improvements.append(improvement)
-        record.events.append(improvement)
+        state.record.improvement(evaluation)
         if state.sharing:
             _broadcast(state, evaluation)
     else:
@@ -311,14 +335,10 @@ def _broadcast(state: SchedulerState, evaluation) -> None:
     # No ring is closed yet: ``_shutdown`` stops sharing before closing them.
     for share_mb in state.share_mailboxes.values():
         share_mb.put_drop_oldest(message)
-    delivered = len(state.share_mailboxes)
-    state.record.broadcasts += delivered
-    state.record.events.append({"event": "broadcast", "seq": evaluation.seq,
-                                "delivered": delivered})
+    state.record.broadcast(evaluation.seq, len(state.share_mailboxes))
 
 
 def _dispatch_idle(state: SchedulerState) -> None:
-    record = state.record
     while state.idle:
         if state.budget.kind == "evaluations" and _exhausted(state):
             return
@@ -328,18 +348,13 @@ def _dispatch_idle(state: SchedulerState) -> None:
         announcement = state.idle.popleft()
         announcement.content.set_result(request)
         state.busy.add(announcement.sender)
-        record.dispatches += 1
-        record.solver_dispatches[request.solver_id] += 1
-        record.events.dispatch(announcement.sender, request.solver_id,
-                               record.messages)
+        state.record.dispatch(announcement.sender, request.solver_id)
 
 
 def _refuse(state: SchedulerState, request: EvaluationRequest) -> None:
     if not request.reply.done():
         request.reply.set_exception(MailboxClosed(request.solver_id))
-    state.record.refusals += 1
-    state.record.events.append({"event": "refusal",
-                                "solver": request.solver_id})
+    state.record.refusal(request.solver_id)
 
 
 def _settle(state: SchedulerState, message: Message) -> None:
@@ -385,6 +400,5 @@ async def _shutdown(state: SchedulerState) -> Any:
         Message(MessageKind.RETRIEVEBEST, "scheduler", reply))
     snapshot = await reply
     state.analysis_inbox.close()
-    state.record.events.append({"event": "terminated",
-                                **state.record.counters()})
+    state.record.terminated()
     return snapshot

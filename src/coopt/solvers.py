@@ -535,13 +535,8 @@ async def solver_loop(cfg: SolverConfig, domain: Domain,
         if len(evaluation.objectives) == 1 and not evaluation.failed:
             if local_best is None or dominates(evaluation, local_best):
                 local_best = evaluation
-                record.events.append({
-                    "event": "solver-improvement",
-                    "solver": cfg.label,
-                    "class": solver_class,
-                    "seq": evaluation.seq,
-                    "z": list(evaluation.objectives),
-                })
+                record.solver_improvement(cfg.label, solver_class,
+                                          evaluation)
         return evaluation
 
     async def obj(point) -> float:

@@ -215,14 +215,13 @@ def logged_events(entries):
     of dicts ``_dispatch_idle`` once appended in its place."""
     log, expected, dispatches = EventLog(), [], 0
     for entry in entries:
+        log.append(entry)
         if isinstance(entry, tuple):
-            log.dispatch(*entry)
             dispatches += 1
             evaluator, solver, messages = entry
             expected.append({"event": "dispatch", "evaluator": evaluator,
                              "solver": solver, "messages": messages,
                              "dispatches": dispatches})
         else:
-            log.append(entry)
             expected.append(entry)
     return log, expected

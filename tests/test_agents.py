@@ -82,7 +82,7 @@ def test_small_run_completes_and_reports_best():
     assert sum(1 for e in events if e["event"] == "dispatch") \
         == record.dispatches
     assert [mb.capacity for mb in record.mailboxes] == [8, 6, 4]
-    assert [e["event"] for e in events[-5:]] == ["evaluator"] * 2 + [
+    assert [e["event"] for e in list(events)[-5:]] == ["evaluator"] * 2 + [
         "mailbox"] * 3
 
 
