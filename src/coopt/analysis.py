@@ -6,7 +6,8 @@ the archive keeps the one best evaluation, replaced only by a newcomer that
 set of a two-objective problem.  Both modes compare under that one rule.
 Improvements are forwarded to the scheduler, which records them
 (``trace.csv`` is written from its improvement events) and relays them to
-solvers when sharing is on.
+solvers when sharing is on; one that meets the scheduler's closed inbox
+is recorded here.
 
 The feasible front is indexed as a staircase (z1 ascending, z2 strictly
 decreasing; Kung, Luccio & Preparata, JACM 1975), so an insert costs a
@@ -21,6 +22,7 @@ from typing import NoReturn, Optional
 
 from coopt.core import Evaluation, dominates, pareto_key
 from coopt.messaging import Mailbox, MailboxClosed, Message, MessageKind
+from coopt.scheduler import RunRecord
 
 SINGLE = "single"
 MULTI = "multi"
@@ -145,26 +147,25 @@ def _insert_into_front(archive: Archive, evaluation: Evaluation) -> bool:
 
 
 async def analysis_loop(inbox: Mailbox, scheduler_inbox: Mailbox,
-                        archive: Archive) -> NoReturn:
+                        archive: Archive, record: RunRecord) -> NoReturn:
     """Consume evaluation results until shutdown; answer archive queries.
 
-    Improvement notifications stop (but processing continues) once the
-    scheduler's inbox has been closed — that only happens during teardown,
-    when the final RETRIEVEBEST/STATISTICSBEST exchange is still pending.
-    Its closed and drained inbox ends it by ``MailboxClosed``, its normal end.
+    Each improvement goes to the scheduler, which records it.  Once the
+    scheduler's inbox is closed (only during teardown, with the final
+    RETRIEVEBEST still to come) an improvement is recorded in ``record``
+    here, so the trace still ends at the archive's best.  Its closed and
+    drained inbox ends it by ``MailboxClosed``, its normal end.
     """
-    notify = True
     while True:
         message = await inbox.take()
         if message.kind is MessageKind.ANALYSESOLUTION:
-            improved = update_archive(archive, message.content)
-            if improved and notify:
+            evaluation = message.content
+            if update_archive(archive, evaluation):
                 try:
                     await scheduler_inbox.put(Message(
-                        MessageKind.ANALYSESOLUTION, "analysis",
-                        message.content))
+                        MessageKind.ANALYSESOLUTION, "analysis", evaluation))
                 except MailboxClosed:
-                    notify = False
+                    record.improvement(evaluation)
         elif message.kind is MessageKind.RETRIEVEBEST:
             reply = message.content
             if not reply.done():  # a cancelled scheduler no longer listens

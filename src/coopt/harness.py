@@ -393,7 +393,7 @@ def wire(problem: Problem, solver_labels, n_evaluators: int, budget: Budget,
     seq = itertools.count(1)
     mode = SINGLE if problem.n_obj == 1 else MULTI
     coroutines = [analysis_loop(analysis_inbox, scheduler_inbox,
-                                Archive(mode))]
+                                Archive(mode), record)]
     coroutines += [
         evaluator_loop(problem, scheduler_inbox, analysis_inbox, seq,
                        record.evaluator(f"eval-{i}"))

@@ -8,6 +8,7 @@ import pytest
 from coopt.analysis import MULTI, SINGLE, Archive, analysis_loop, update_archive
 from coopt.core import Evaluation, freeze_point
 from coopt.messaging import Mailbox, MailboxClosed, Message, MessageKind
+from coopt.scheduler import RunRecord
 from oracles import brute_force_front, objective_key
 
 
@@ -100,8 +101,8 @@ def run(coro):
 async def _drive(stream, mode=SINGLE):
     inbox = Mailbox(8, name="analysis")
     sched = Mailbox(64, name="scheduler")
-    archive = Archive(mode)
-    task = asyncio.ensure_future(analysis_loop(inbox, sched, archive))
+    archive, record = Archive(mode), RunRecord(mailboxes=[])
+    task = asyncio.ensure_future(analysis_loop(inbox, sched, archive, record))
     for e in stream:
         await inbox.put(Message(MessageKind.ANALYSESOLUTION, "eval", e))
     reply = asyncio.get_running_loop().create_future()
@@ -113,6 +114,7 @@ async def _drive(stream, mode=SINGLE):
     notifications = []
     while (m := sched.take_nowait()) is not None:
         notifications.append(m)
+    assert not record.improvements  # the open inbox took every one
     return snapshot, notifications
 
 
@@ -136,12 +138,18 @@ def test_loop_snapshot_equals_brute_force_filter():
 
 
 def test_loop_survives_closed_scheduler_inbox():
+    """An improvement that meets the closed inbox is recorded all the same."""
+    record = RunRecord(mailboxes=[])
+
     async def go():
         inbox = Mailbox(8)
         sched = Mailbox(2)
         sched.close()
-        task = asyncio.ensure_future(analysis_loop(inbox, sched, Archive(SINGLE)))
-        await inbox.put(Message(MessageKind.ANALYSESOLUTION, "eval", ev(1.0)))
+        task = asyncio.ensure_future(
+            analysis_loop(inbox, sched, Archive(SINGLE), record))
+        for seq, z in enumerate((2.0, 3.0, 1.0), 1):
+            await inbox.put(
+                Message(MessageKind.ANALYSESOLUTION, "eval", ev(z, seq=seq)))
         reply = asyncio.get_running_loop().create_future()
         await inbox.put(Message(MessageKind.RETRIEVEBEST, "test", reply))
         snapshot = await reply
@@ -152,6 +160,9 @@ def test_loop_survives_closed_scheduler_inbox():
 
     snapshot = run(go())
     assert snapshot.best.objectives == (1.0,)
+    assert [(e["seq"], e["z"]) for e in record.improvements] == [
+        (1, [2.0]), (3, [1.0])]
+    assert list(record.events) == record.improvements
 
 
 def test_snapshot_is_independent_copy():

@@ -30,6 +30,16 @@ events.log and changed nothing else.  Every trace.csv, archive.csv and
 report.json (less ``wall_time``) stayed byte-identical, and every
 events.log equalled the old one with those records deleted.
 
+They held again when ``RunRecord`` became the one builder of events.
+Then ``EXPERIMENT_GOLDEN["biobj-quadratic-2"]`` alone was re-recorded,
+when the analysis agent began to record an improvement that meets the
+scheduler's closed inbox.  Until then such an improvement was in
+archive.csv but not in trace.csv or events.log.  Each of its two
+cooperating runs gained seq 299: one ``improvement`` line just before
+``terminated``, one more trace.csv row, and one more ``improvements`` in
+``terminated`` and report.json (62 -> 63 and 112 -> 113).  metrics.csv
+and the independent runs did not change.
+
 A change that alters any message, its order, or the written outputs breaks
 them.  A change that alters outputs on purpose must say why and record the
 new hashes.
@@ -95,7 +105,7 @@ EXPERIMENT_GOLDEN = {
     "sphere-3":
         "475eca5545d63455c22ae71c3437e67e9b88abde8a9d0c152487970f5cbc3d7d",
     "biobj-quadratic-2":
-        "dcd90eaf7370dfee32bc93423eea6e1e0628c5555af0bb2a1ab9e492794e5494",
+        "c5d035fc93e8a1f607b54e6997b995b78770d04ce88d5eb8d30b436dbd2e9539",
 }
 WALL_TIME = re.compile(rb', "wall_time": [-+.e0-9]+')
 LADDER = (("GA", 10, "ga-small", 1), ("GA", 50, "ga-large", 3),

@@ -318,7 +318,8 @@ def test_every_small_config_ends_and_replays(cfg, rep_index):
 
     Either way every mailbox ledger balances, the counters, trace and
     evaluator records agree with the event log, and a second run of the
-    same config and repetition writes the same bytes.
+    same config and repetition writes the same bytes.  A valid run's trace
+    holds every member of its final archive.
     """
     report = bounded(lambda: run_once(cfg, rep_index), "fuzzed run")
     limit = cfg.budget.limit
@@ -345,6 +346,8 @@ def test_every_small_config_ends_and_replays(cfg, rep_index):
     if report.valid:
         terminated, = events("terminated")
         assert terminated == {"event": "terminated", **counters}
+        traced = {row["seq"] for row in report.trace}
+        assert all(m.seq in traced for m in report.archive.members())
     ledgers = events("mailbox")
     assert len(ledgers) == 2 + len(cfg.solvers)
     for r in ledgers:
@@ -353,3 +356,21 @@ def test_every_small_config_ends_and_replays(cfg, rep_index):
         again = bounded(lambda: run_once(cfg, rep_index), "replayed run")
         assert written(again, Path(tmp, "again")) \
             == written(report, Path(tmp, "first"))
+
+
+def test_an_improvement_filed_during_shutdown_reaches_the_trace():
+    """This run's last improvement meets the scheduler's closed inbox, so
+    the analysis agent records it.  It used to be dropped: archive.csv
+    held it, while trace.csv and events.log ended at 0.3359063025059008."""
+    cfg = preset_config("hen-protocol", "sphere-3",
+                        budget=Budget.messages(200), n_evaluators=2, seed=0,
+                        sharing=True)
+    report = bounded(lambda: run_once(cfg, 0), "pinned run")
+    assert report.valid
+    best = report.archive.best
+    assert best.objectives == (0.27358348863223586,)
+    last = report.trace[-1]
+    assert (last["seq"], last["z"]) == (best.seq, [0.27358348863223586])
+    improvements = [e for e in report.events if e["event"] == "improvement"]
+    assert improvements[-1]["seq"] == best.seq
+    assert report.counters["improvements"] == len(report.trace)
