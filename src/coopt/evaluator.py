@@ -20,9 +20,9 @@ async def evaluator_loop(problem: Problem, scheduler_inbox: Mailbox,
                          record: dict) -> NoReturn:
     """Serve evaluation requests until the run ends (``MailboxClosed``).
 
-    The evaluator counts into its ``record``, which
-    ``RunRecord.evaluator`` made.  ``seq`` is shared by all
-    evaluators of a run and numbers evaluations globally in completion order.
+    The evaluator counts into its ``record``, which ``RunRecord.evaluator``
+    made.  ``seq`` is shared by all evaluators of a run and numbers
+    evaluations globally in completion order.
     """
     evaluator_id = record["evaluator"]
     while True:

@@ -360,8 +360,8 @@ def test_every_small_config_ends_and_replays(cfg, rep_index):
 
 def test_an_improvement_filed_during_shutdown_reaches_the_trace():
     """This run's last improvement meets the scheduler's closed inbox, so
-    the analysis agent records it.  It used to be dropped: archive.csv
-    held it, while trace.csv and events.log ended at 0.3359063025059008."""
+    the analysis agent records it.  Were it dropped, archive.csv would
+    hold it while trace.csv and events.log ended at 0.3359063025059008."""
     cfg = preset_config("hen-protocol", "sphere-3",
                         budget=Budget.messages(200), n_evaluators=2, seed=0,
                         sharing=True)
