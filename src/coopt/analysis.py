@@ -72,15 +72,13 @@ class Archive:
     mode: str
     best: Optional[Evaluation] = None
     front: list[Evaluation] = field(default_factory=list)
-    # Index of the feasible members of ``front``, built on the first
-    # update: a front handed in (a ``snapshot()``, or a test's) may never
-    # be updated.
-    _stairs: Optional[_Staircase] = field(
-        default=None, init=False, repr=False, compare=False)
+    # Index of the feasible members of ``front``.
+    _stairs: _Staircase = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in (SINGLE, MULTI):
             raise ValueError(f"unknown archive mode {self.mode!r}")
+        self._stairs = _Staircase(m for m in self.front if m.feasible)
 
     def __repr__(self) -> str:
         # Short on purpose: a done task's repr shows its result, and
@@ -93,10 +91,6 @@ class Archive:
             return [self.best] if self.best is not None else []
         return list(self.front)
 
-    def snapshot(self) -> "Archive":
-        """Immutable-enough copy safe to hand to another task."""
-        return Archive(self.mode, self.best, list(self.front))
-
 
 def update_archive(archive: Archive, evaluation: Evaluation) -> bool:
     """Fold one evaluation into the archive; True iff it improved it.
@@ -104,8 +98,8 @@ def update_archive(archive: Archive, evaluation: Evaluation) -> bool:
     A single-objective newcomer replaces ``best`` iff it dominates it.
     Multi-objective insertions evict every member the newcomer dominates
     and append it to ``front``.  A newcomer with objectives identical to a
-    surviving member is not an improvement (first arrival kept), so a
-    snapshot depends only on the arrival order.  Infeasible and failed
+    surviving member is not an improvement (first arrival kept), so the
+    archive depends only on the arrival order.  Infeasible and failed
     newcomers are refused once a feasible member exists; until then the
     front holds the members with the smallest constraint measure and
     distinct objectives.  Multi-objective evaluations with other than 1 or
@@ -121,8 +115,6 @@ def update_archive(archive: Archive, evaluation: Evaluation) -> bool:
 
 def _insert_into_front(archive: Archive, evaluation: Evaluation) -> bool:
     pareto_key(evaluation)  # the objective-count check, for every newcomer
-    if archive._stairs is None:
-        archive._stairs = _Staircase(m for m in archive.front if m.feasible)
     stairs = archive._stairs
     if evaluation.feasible:
         if not stairs.members:  # the first feasible point clears the front
@@ -153,8 +145,11 @@ async def analysis_loop(inbox: Mailbox, scheduler_inbox: Mailbox,
     Each improvement goes to the scheduler, which records it.  Once the
     scheduler's inbox is closed (only during teardown, with the final
     RETRIEVEBEST still to come) an improvement is recorded in ``record``
-    here, so the trace still ends at the archive's best.  Its closed and
-    drained inbox ends it by ``MailboxClosed``, its normal end.
+    here, so the trace still ends at the archive's best.  RETRIEVEBEST is
+    answered with ``archive`` itself: the scheduler puts it only after the
+    last result, and closes this inbox right after the reply, so nothing
+    changes the archive once it is handed over.  The closed and drained
+    inbox ends this loop by ``MailboxClosed``, its normal end.
     """
     while True:
         message = await inbox.take()
@@ -169,6 +164,6 @@ async def analysis_loop(inbox: Mailbox, scheduler_inbox: Mailbox,
         elif message.kind is MessageKind.RETRIEVEBEST:
             reply = message.content
             if not reply.done():  # a cancelled scheduler no longer listens
-                reply.set_result(archive.snapshot())
+                reply.set_result(archive)
         else:
             raise RuntimeError(f"analysis cannot handle {message.kind}")

@@ -38,6 +38,7 @@ import codecs
 import csv
 import itertools
 import json
+import re
 import time
 from dataclasses import dataclass, replace
 from functools import partial
@@ -239,19 +240,23 @@ _SOLVER_KEYS = {
 
 
 def load_config(path) -> RunConfig:
-    """Parse and validate a config file; errors cite the offending line."""
+    """Parse and validate a config file; errors cite the offending line.
+
+    Lines end at LF, CR LF or CR, as text-mode ``open()`` reads them;
+    ``str.splitlines`` would also break at a form feed, U+2028 and others.
+    """
     # Not utf-8-sig: its error offsets would skip the byte-order mark.
     raw = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        lineno = raw.count(b"\n", 0, exc.start) + 1
+        lineno = len(re.findall(rb"\r\n?|\n", raw[:exc.start])) + 1
         raise ConfigError(f"line {lineno}: not UTF-8 text "
                           f"(byte {raw[exc.start]:#04x})") from None
     top: dict[str, tuple[str, int]] = {}
     blocks: list[dict[str, tuple[str, int]]] = []
     current: Optional[dict] = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(re.split(r"\r\n?|\n", text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -321,7 +326,7 @@ def _assemble(top: dict, blocks: list[dict]) -> RunConfig:
     try:
         registry_get(fields["problem"])
     except (KeyError, ValueError) as exc:
-        raise ConfigError(f"line {top['problem'][1]}: {exc}") from None
+        raise ConfigError(f"line {top['problem'][1]}: {exc.args[0]}") from None
     preset = fields.pop("preset", None)
     if preset is None:
         for key in ("np", "budget"):
@@ -445,10 +450,8 @@ def run_once(cfg: RunConfig, rep_index: int) -> RunReport:
     population_rng, solver_seeds = _derive_seeds(cfg, rep_index)
     initial_points = problem.domain.random_population(
         population_rng, cfg.population_size)
-    solver_cfgs = [replace(sc, seed=seed)
-                   for sc, seed in zip(cfg.solvers, solver_seeds)]
-    labels = [sc.label for sc in solver_cfgs]
-    classes = {sc.label: sc.solver_class for sc in solver_cfgs}
+    labels = [sc.label for sc in cfg.solvers]
+    classes = {sc.label: sc.solver_class for sc in cfg.solvers}
 
     mode = "cooperating" if cfg.sharing else "independent"
     started = time.perf_counter()
@@ -456,23 +459,24 @@ def run_once(cfg: RunConfig, rep_index: int) -> RunReport:
     state = agents.state
     record = state.record
     record.run_start(cfg.problem, mode, rep_index, labels, initial_points)
-    solvers = [solver_loop(sc, problem.domain, initial_points, state.inbox,
-                           state.share_mailboxes[sc.label], record)
-               for sc in solver_cfgs]
+    solvers = [solver_loop(sc, seed, problem.domain, initial_points,
+                           state.inbox, state.share_mailboxes[sc.label],
+                           record)
+               for sc, seed in zip(cfg.solvers, solver_seeds)]
     try:
-        snapshot, errors = runloop.run(run_agents(agents, solvers))
+        archive, errors = runloop.run(run_agents(agents, solvers))
     except runloop.Stalled as exc:
-        snapshot, errors = None, [runloop.Stalled(
+        archive, errors = None, [runloop.Stalled(
             f"the run stalled at message {record.messages}: {exc}")]
     wall_time = time.perf_counter() - started
 
     metrics_row = None
-    if problem.n_obj > 1 and snapshot is not None and snapshot.front:
+    if problem.n_obj > 1 and archive is not None and archive.front:
         metrics_row = front_metrics(
-            [e.objectives for e in snapshot.front], cfg.problem)
+            [e.objectives for e in archive.front], cfg.problem)
     return RunReport(
         problem=cfg.problem, mode=mode, rep_index=rep_index,
-        sharing=cfg.sharing, archive=snapshot,
+        sharing=cfg.sharing, archive=archive,
         trace=[
             {
                 "seq": e["seq"],
@@ -604,7 +608,8 @@ def write_run_dir(run_dir, report: RunReport) -> Path:
     # One line: ``indent`` would force the pure-Python encoder, which costs
     # several times as much on a large front.
     (run_dir / "report.json").write_text(
-        json.dumps(summary, sort_keys=True) + "\n", encoding="utf-8")
+        json.dumps(summary, sort_keys=True) + "\n", encoding="utf-8",
+        newline="\n")
     return run_dir
 
 

@@ -25,7 +25,7 @@ class MessageKind(Enum):
     REQUESTPOINT = "REQUESTPOINT"         # idle evaluator (its dispatch future)
     RETRIEVEBEST = "RETRIEVEBEST"         # ask the analysis agent for the archive
     SHAREBEST = "SHAREBEST"               # broadcast of an improved solution
-    STATISTICSBEST = "STATISTICSBEST"     # archive snapshot (scheduler's reply future)
+    STATISTICSBEST = "STATISTICSBEST"     # the final archive (scheduler's reply future)
 
 
 class Message(NamedTuple):

@@ -172,7 +172,7 @@ class EventLog:
                 else:
                     yield "".join(encode(entry, 0)) + "\n"
 
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(lines())
 
 
@@ -398,7 +398,7 @@ async def _shutdown(state: SchedulerState) -> Any:
     reply = asyncio.get_running_loop().create_future()
     await state.analysis_inbox.put(
         Message(MessageKind.RETRIEVEBEST, "scheduler", reply))
-    snapshot = await reply
+    archive = await reply
     state.analysis_inbox.close()
     state.record.terminated()
-    return snapshot
+    return archive

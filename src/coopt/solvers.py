@@ -61,7 +61,6 @@ class SolverConfig:
     size_param: int = 1
     priority: int = 1
     weight: float = 0.5
-    seed: int = 0
     instance_label: str = ""
 
     def __post_init__(self):
@@ -164,7 +163,7 @@ async def ga_step(members: list[Evaluation], cfg: SolverConfig,
     generation evaluates at least one child: at size 1 the child replaces
     the elite only if it dominates it.
     """
-    pool = members + list(injected)
+    pool = members + injected
     fitness = assign_fitness(pool)
     elite = pool[int(fitness.argmax())]
     n = domain.size
@@ -233,7 +232,7 @@ async def ppa_step(members: list[Evaluation], cfg: SolverConfig,
     +-(1 - f) * range.  Parents and evaluated runners are then truncated
     to the best 2 * cfg.size_param.
     """
-    pool = members + list(injected)
+    pool = members + injected
     selected = [pool[i] for i in _layer_order(pool)[:cfg.size_param]]
     offspring: list[Evaluation] = []
     for rank, parent in enumerate(selected, start=1):
@@ -268,7 +267,7 @@ async def pso_step(swarm: list[SwarmMember], cfg: SolverConfig,
     for shared in injected:
         worst = _layer_order([m.evaluation for m in swarm])[-1]
         swarm[worst] = SwarmMember(
-            np.array(shared.point), np.zeros(domain.size), shared, shared)
+            shared.point, np.zeros(domain.size), shared, shared)
     best = _layer_order([m.evaluation for m in swarm])[0]
     global_best = swarm[best].evaluation
     clamp = domain.ranges
@@ -296,7 +295,7 @@ async def pso_start(members: list[Evaluation], cfg: SolverConfig,
         members = [members[i] for i in _layer_order(members)[:cfg.size_param]]
     while len(members) < cfg.size_param:
         members.append(await evaluate(domain.random_point(rng)))
-    return [SwarmMember(np.array(e.point), np.zeros(domain.size), e, e)
+    return [SwarmMember(e.point, np.zeros(domain.size), e, e)
             for e in members]
 
 
@@ -463,13 +462,12 @@ def _drain_injected(share_inbox: Mailbox) -> list[Evaluation]:
     """Take every shared solution waiting in the inbox, without blocking."""
     injected = []
     while (message := share_inbox.take_nowait()) is not None:
-        if message.kind is MessageKind.SHAREBEST:
-            injected.append(message.content)
+        injected.append(message.content)
     return injected
 
 
 def _push_shared(starts: list, share_inbox: Mailbox) -> None:
-    starts.extend(np.array(e.point) for e in _drain_injected(share_inbox))
+    starts.extend(e.point for e in _drain_injected(share_inbox))
 
 
 async def descend(starts: list[np.ndarray], domain: Domain, obj,
@@ -486,9 +484,7 @@ async def descend(starts: list[np.ndarray], domain: Domain, obj,
     while True:
         _push_shared(starts, share_inbox)
         while not starts:
-            message = await share_inbox.take()
-            if message.kind is MessageKind.SHAREBEST:
-                starts.append(np.array(message.content.point))
+            starts.append((await share_inbox.take()).content.point)
         point = starts.pop()
         value = await obj(point)
         for _ in range(DESCENT_MAX_ITERATIONS):
@@ -511,21 +507,22 @@ SOLVER_KINDS = {
 }
 
 
-async def solver_loop(cfg: SolverConfig, domain: Domain,
+async def solver_loop(cfg: SolverConfig, seed: int, domain: Domain,
                       initial_points: list[np.ndarray],
                       scheduler_inbox: Mailbox, share_inbox: Mailbox,
                       record: RunRecord) -> NoReturn:
     """Run one solver instance until the scheduler shuts the system down.
 
     Every solver receives the same ``initial_points`` (the shared initial
-    population).  An MH solver evaluates them and steps one generation at a
-    time, each with the shared solutions that arrived since the last; a DS
-    solver hands them to ``descend`` as its stack of starts.  Each new best
+    population, read-only points used as they are).  An MH solver evaluates
+    them and steps one generation at a time, each with the shared solutions
+    that arrived since the last, drawing on an RNG seeded with ``seed``; a
+    DS solver hands them to ``descend`` as its stack of starts.  Each new best
     of its own goes to ``record`` as a ``solver-improvement`` event.  It
     ends by ``MailboxClosed``, its normal end, when the shutdown reaches it.
     """
     solver_class, step, start = SOLVER_KINDS[cfg.kind]
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     local_best: Optional[Evaluation] = None
 
     async def evaluate(point) -> Evaluation:
@@ -543,8 +540,7 @@ async def solver_loop(cfg: SolverConfig, domain: Domain,
         return ds_objective(await evaluate(point), cfg.weight)
 
     if solver_class == "DS":
-        await descend([np.array(p) for p in initial_points], domain, obj,
-                      share_inbox, step)
+        await descend(list(initial_points), domain, obj, share_inbox, step)
     else:
         state = [await evaluate(p) for p in initial_points]
         if start is not None:

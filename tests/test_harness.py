@@ -117,6 +117,7 @@ def test_full_explicit_config(tmp_path):
     ("np = 5\nbudget = messages:10\n[solver]\nkind = GA",
      "missing required key 'problem'"),
     ("problem = no-such-thing-3\nnp = 5", "line 1"),
+    ("problem = nosuch-3", "line 1: unknown problem 'nosuch-3'"),
     ("problem = sphere-3\npreset = unknown-protocol", "line 2"),
     ("problem = sphere-3\nbudget = messages:10\n[solver]\nkind = GA",
      "missing required key 'np'"),
@@ -191,6 +192,22 @@ def test_deterministic_key_is_rejected_with_its_line(tmp_path):
             "n_evaluators = 1", "deterministic = true",
         ])))
     assert "line 4: unknown key 'deterministic'" in str(err.value)
+
+
+def test_config_lines_end_only_where_text_mode_open_ends_them(tmp_path):
+    # \n, \r\n and \r end a line; a form feed or U+2028 does not, for an
+    # editor or for the UTF-8 error path's count, so it must not here.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes("problem = sphere-3\n\f\npreset = hen-protocol\n"
+                    "bogus = 1\n".encode())
+    with pytest.raises(ConfigError, match="^line 4: unknown key 'bogus'$"):
+        load_config(cfg)
+    cfg.write_bytes("problem = sphere-3\r\npreset = hen-protocol\r"
+                    "[solver]\nkind = GA\nlabel = a\u2028b\n".encode())
+    assert load_config(cfg).solvers[0].label == "a\u2028b"
+    cfg.write_bytes(b"seed = 1\rproblem = \xff\r")
+    with pytest.raises(ConfigError, match="^line 2: not UTF-8"):
+        load_config(cfg)
 
 
 def test_preset_config_overrides_replace_preset_values():

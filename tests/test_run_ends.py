@@ -50,9 +50,9 @@ def hen_system(problem=SPHERE3):
     labels = [sc.label for sc in CFG.solvers]
     agents = wire(problem, labels, CFG.n_evaluators, CFG.budget, True)
     state = agents.state
-    solvers = [solver_loop(replace(sc, seed=i), problem.domain,
-                           initial_points, state.inbox,
-                           state.share_mailboxes[sc.label], state.record)
+    solvers = [solver_loop(sc, i, problem.domain, initial_points,
+                           state.inbox, state.share_mailboxes[sc.label],
+                           state.record)
                for i, sc in enumerate(CFG.solvers)]
     return agents, solvers
 
@@ -317,9 +317,10 @@ def test_every_small_config_ends_and_replays(cfg, rep_index):
     """Valid at its exact budget, or flagged as stalled; never a hang.
 
     Either way every mailbox ledger balances, the counters, trace and
-    evaluator records agree with the event log, and a second run of the
-    same config and repetition writes the same bytes.  A valid run's trace
-    holds every member of its final archive.
+    evaluator records agree with the event log, the share rings took only
+    broadcasts, and a second run of the same config and repetition writes
+    the same bytes.  A valid run's trace holds every member of its final
+    archive.
     """
     report = bounded(lambda: run_once(cfg, rep_index), "fuzzed run")
     limit = cfg.budget.limit
@@ -352,6 +353,10 @@ def test_every_small_config_ends_and_replays(cfg, rep_index):
     assert len(ledgers) == 2 + len(cfg.solvers)
     for r in ledgers:
         assert r["puts"] == r["takes"] + r["drops"] + r["queued"], r
+    # Only broadcasts put on a share ring, so the solvers read every ring
+    # message as a shared solution.
+    assert sum(r["puts"] for r in ledgers
+               if r["mailbox"].startswith("share:")) == counters["broadcasts"]
     with tempfile.TemporaryDirectory() as tmp:
         again = bounded(lambda: run_once(cfg, rep_index), "replayed run")
         assert written(again, Path(tmp, "again")) \

@@ -218,7 +218,7 @@ def test_ga_elitism_keeps_best_member():
     evaluate, _ = make_evaluate(sphere_model, BOX5)
     optimum = ev([0.0, 0.0], 0.0)
     members = [optimum] + [ev([3.0, 3.0], 18.0)] * 5
-    cfg = SolverConfig("GA", size_param=6, seed=1)
+    cfg = SolverConfig("GA", size_param=6)
 
     async def go():
         return await ga_step(members, cfg, BOX5,
@@ -233,7 +233,7 @@ def test_ga_output_size_fixed_despite_injections():
     evaluate, _ = make_evaluate(sphere_model, BOX5)
     members = [ev([1.0, 1.0], 2.0)] * 4
     injected = [ev([0.5, 0.5], 0.5), ev([0.2, 0.2], 0.08)]
-    cfg = SolverConfig("GA", size_param=4, seed=2)
+    cfg = SolverConfig("GA", size_param=4)
 
     async def go():
         return await ga_step(members, cfg, BOX5,
@@ -265,7 +265,7 @@ def test_ga_of_size_one_evaluates_a_child_and_keeps_the_better():
 
 def test_ga_step_is_deterministic_for_fixed_seed():
     members = [ev([x, -x], 2 * x * x) for x in (1.0, 2.0, 3.0, 4.0)]
-    cfg = SolverConfig("GA", size_param=4, seed=7)
+    cfg = SolverConfig("GA", size_param=4)
 
     async def go():
         evaluate, _ = make_evaluate(sphere_model, BOX5)
@@ -284,7 +284,7 @@ def test_ga_children_respect_bounds_and_integer_dims():
                     (VarKind.REAL, VarKind.INTEGER))
     evaluate, calls = make_evaluate(sphere_model, domain)
     members = [ev([4.9, 9.0], 105.01), ev([-4.9, 1.0], 25.01)]
-    cfg = SolverConfig("GA", size_param=8, seed=5)
+    cfg = SolverConfig("GA", size_param=8)
 
     async def go():
         return await ga_step(members, cfg, domain,
@@ -375,7 +375,7 @@ def test_ppa_fit_member_sends_five_short_runners():
     # one clearly best member in a pool of 9 -> fitness 9/10 = 0.9
     members = [ev([0.1, 0.1], 0.02)] + \
         [ev([4.0, 4.0], 32.0 + i) for i in range(8)]
-    cfg = SolverConfig("PPA", size_param=1, seed=3)
+    cfg = SolverConfig("PPA", size_param=1)
 
     async def go():
         return await ppa_step(members, cfg, BOX5,
@@ -394,7 +394,7 @@ def test_ppa_unfit_member_sends_one_long_runner():
     # a pool where the weakest has fitness just under 0.2: N=9, rank 9 -> 0.1.
     evaluate, calls = make_evaluate(sphere_model, BOX5)
     members = [ev([float(i), 0.0], float(i * i)) for i in range(9)]
-    cfg = SolverConfig("PPA", size_param=9, seed=4)
+    cfg = SolverConfig("PPA", size_param=9)
 
     async def go():
         return await ppa_step(members, cfg, BOX5,
@@ -411,7 +411,7 @@ def test_ppa_injected_best_is_propagated():
     evaluate, calls = make_evaluate(sphere_model, BOX5)
     members = [ev([4.0, 4.0], 32.0), ev([3.0, 3.0], 18.0)]
     injected = [ev([0.0, 0.1], 0.01)]
-    cfg = SolverConfig("PPA", size_param=1, seed=6)
+    cfg = SolverConfig("PPA", size_param=1)
 
     async def go():
         return await ppa_step(members, cfg, BOX5,
@@ -430,7 +430,7 @@ def test_pso_swarm_at_best_with_zero_velocity_is_stationary():
     home = ev([1.0, -1.0], 2.0)
     swarm = [SwarmMember(np.array(home.point), np.zeros(2), home, home)
              for _ in range(4)]
-    cfg = SolverConfig("PSO", size_param=4, seed=8)
+    cfg = SolverConfig("PSO", size_param=4)
 
     async def go():
         return await pso_step(swarm, cfg, BOX5,
@@ -448,7 +448,7 @@ def test_pso_injected_solution_becomes_global_best():
                          ev([4.0, 4.0], 32.0), ev([4.0, 4.0], 32.0))
              for _ in range(3)]
     shared = ev([0.5, 0.5], 0.5)
-    cfg = SolverConfig("PSO", size_param=3, seed=9)
+    cfg = SolverConfig("PSO", size_param=3)
 
     async def go():
         return await pso_step(swarm, cfg, BOX5,
@@ -471,7 +471,7 @@ def test_pso_swarm_size_invariant():
     swarm = [SwarmMember(p := rng.uniform(-5, 5, 2), np.zeros(2),
                          e := ev(p, float(np.sum(p**2))), e)
              for _ in range(7)]
-    cfg = SolverConfig("PSO", size_param=7, seed=10)
+    cfg = SolverConfig("PSO", size_param=7)
 
     async def go():
         s = swarm
@@ -766,10 +766,9 @@ def test_solver_loops_run_against_real_scheduler(kind):
     inbox, share_mbs = agents.state.inbox, agents.state.share_mailboxes
     record = agents.state.record
     archive, errors = asyncio.run(asyncio.wait_for(run_agents(agents, [
-        solver_loop(SolverConfig(kind, size_param=6, seed=1,
-                                 instance_label="x"),
+        solver_loop(SolverConfig(kind, size_param=6, instance_label="x"), 1,
                     problem.domain, initial, inbox, share_mbs["x"], record),
-        solver_loop(SolverConfig("SD", seed=2, instance_label="sd"),
+        solver_loop(SolverConfig("SD", instance_label="sd"), 2,
                     problem.domain, initial, inbox, share_mbs["sd"], record),
     ]), timeout=30))
     assert not errors
