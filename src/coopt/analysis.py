@@ -31,10 +31,10 @@ MULTI = "multi"
 class _Staircase:
     """The feasible front sorted by z1 ascending, z2 strictly decreasing."""
 
-    def __init__(self, members):
-        self.members = sorted(members, key=pareto_key)
-        self.z1 = [pareto_key(m)[0] for m in self.members]
-        self.z2 = [pareto_key(m)[1] for m in self.members]
+    def __init__(self):
+        self.members: list[Evaluation] = []
+        self.z1: list[float] = []
+        self.z2: list[float] = []
 
     def insert(self, evaluation: Evaluation) -> Optional[list[Evaluation]]:
         """Add a feasible point; the members it evicts, or None if refused.
@@ -65,20 +65,20 @@ class _Staircase:
 class Archive:
     """Best-so-far record: one evaluation (single) or a front (multi).
 
-    ``front`` is in arrival order, which ``archive.csv`` and the front
-    metrics read.
+    An archive starts empty; ``update_archive`` fills it.  ``front`` is in
+    arrival order, which ``archive.csv`` and the front metrics read.
     """
 
     mode: str
-    best: Optional[Evaluation] = None
-    front: list[Evaluation] = field(default_factory=list)
+    best: Optional[Evaluation] = field(default=None, init=False)
+    front: list[Evaluation] = field(default_factory=list, init=False)
     # Index of the feasible members of ``front``.
-    _stairs: _Staircase = field(init=False, repr=False, compare=False)
+    _stairs: _Staircase = field(default_factory=_Staircase, init=False,
+                                repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in (SINGLE, MULTI):
             raise ValueError(f"unknown archive mode {self.mode!r}")
-        self._stairs = _Staircase(m for m in self.front if m.feasible)
 
     def __repr__(self) -> str:
         # Short on purpose: a done task's repr shows its result, and

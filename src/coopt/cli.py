@@ -55,15 +55,12 @@ def _read_objectives(path) -> list[tuple[float, ...]]:
             except (TypeError, ValueError) as exc:  # a short row gives None
                 raise InputError(f"{path} line {reader.line_num}: {exc}") \
                     from None
-    except (OSError, UnicodeDecodeError) as exc:
+    except UnicodeDecodeError as exc:
         raise InputError(exc) from None
 
 
 def _cmd_run(args) -> int:
-    try:
-        summary = run_experiment(load_config(args.config))
-    except OSError as exc:  # an unreadable config, an unusable output_dir
-        raise InputError(exc) from None
+    summary = run_experiment(load_config(args.config))
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 1 if summary["failures"] else 0
 
@@ -99,8 +96,6 @@ def _cmd_report(args) -> int:
         with open(report_path, encoding="utf-8") as fh:
             summary = json.load(fh)
         write_run_csvs(run_dir, summary)
-    except OSError as exc:
-        raise InputError(exc) from None
     except (KeyError, TypeError, ValueError) as exc:  # ValueError: bad JSON
         raise InputError(f"{report_path} is not a run report "
                          f"({type(exc).__name__}: {exc})") from None
@@ -137,6 +132,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, InputError) as exc:
+    except (ConfigError, InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -110,14 +110,8 @@ class Domain:
         return [self.random_point(rng) for _ in range(n)]
 
 
-def box(lower: Sequence[float], upper: Sequence[float],
-        kinds: Sequence[VarKind] = ()) -> Domain:
-    return Domain(np.asarray(lower, dtype=float), np.asarray(upper, dtype=float),
-                  tuple(kinds))
-
-
 def uniform_box(lo: float, hi: float, n: int) -> Domain:
-    return box([lo] * n, [hi] * n)
+    return Domain([lo] * n, [hi] * n)
 
 
 def freeze_point(values: np.ndarray) -> np.ndarray:

@@ -291,7 +291,7 @@ def _fields(entries: dict[str, tuple[str, int]], table: dict) -> dict:
             fields[name] = parse(value)
         except ConfigError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from None
-        except (KeyError, ValueError):
+        except ValueError:
             raise ConfigError(
                 f"line {lineno}: {key} must {must}, got {value!r}") from None
     return fields
@@ -508,7 +508,7 @@ def front_metrics(objective_points, problem_name: str) -> dict:
     pts = np.asarray(objective_points, dtype=float)
     try:
         front = front_samples(problem_name, 1_000)
-    except (KeyError, ValueError):
+    except ValueError:  # no known front
         front = None
     anchor = front if front is not None else pts
     utopia = anchor.min(axis=0)

@@ -177,7 +177,7 @@ async def ga_step(members: list[Evaluation], cfg: SolverConfig,
             alpha = rng.random()
             child = alpha * p1.point + (1.0 - alpha) * p2.point
         else:
-            child = p1.point.copy()
+            child = p1.point
         mutate = rng.random(n) < (1.0 / n)
         noise = _mutation_noise(sigma, rng)
         child = domain.clip(np.where(mutate, child + noise, child))

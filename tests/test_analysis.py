@@ -169,6 +169,7 @@ def test_loop_survives_closed_scheduler_inbox():
 def test_large_archive_repr_is_short():
     # asyncio.run reprs the run's result on exit; a 5k-member front must
     # not be rendered member by member.
-    front = [ev((float(i), float(5_000 - i)), seq=i) for i in range(5_000)]
-    a = Archive(MULTI, front=front)
+    a = Archive(MULTI)
+    for i in range(5_000):
+        assert update_archive(a, ev((float(i), float(5_000 - i)), seq=i))
     assert len(repr(a)) < 200

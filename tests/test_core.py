@@ -13,7 +13,6 @@ from coopt.core import (
     Problem,
     VarKind,
     dominates,
-    box,
     evaluate_model,
     freeze_point,
     uniform_box,
@@ -62,13 +61,13 @@ def test_domain_validation():
 ])
 def test_domain_refuses_non_finite_bounds(lower, upper):
     with pytest.raises(ValueError):
-        box(lower, upper)
+        Domain(lower, upper)
     with pytest.raises(ValueError):
-        box(lower, upper, [VarKind.INTEGER] * len(lower))
+        Domain(lower, upper, [VarKind.INTEGER] * len(lower))
 
 
 def test_domain_with_the_widest_finite_range_draws_finite_points():
-    dom = box([-8e307], [8e307])
+    dom = Domain([-8e307], [8e307])
     assert dom.ranges.tolist() == [1.6e308]
     rng = np.random.default_rng(0)
     assert all(np.isfinite(dom.random_point(rng)).all() for _ in range(100))

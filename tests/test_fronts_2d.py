@@ -41,10 +41,10 @@ ROW_1D = st.one_of(
 ROWS_1D = st.lists(ROW_1D, min_size=1, max_size=40)
 
 
-def evaluations(rows, first_seq=0):
+def evaluations(rows):
     """One evaluation per row ``(*objectives, g)``."""
     return [Evaluation(freeze_point(np.zeros(1)), row[:-1], row[-1], "s", seq)
-            for seq, row in enumerate(rows, start=first_seq)]
+            for seq, row in enumerate(rows)]
 
 
 def seqs(members):
@@ -60,17 +60,6 @@ def test_archive_front_is_the_ordered_brute_force_front(rows):
         improved = update_archive(archive, e)
         assert improved == (archive.front[-1] is e)
         assert seqs(archive.front) == seqs(brute_force_front(stream[:i + 1]))
-
-
-@settings(deadline=None)
-@given(ROWS, ROWS)
-def test_prebuilt_front_takes_further_inserts(first_rows, rest_rows):
-    first = evaluations(first_rows)
-    rest = evaluations(rest_rows, first_seq=len(first))
-    archive = Archive(MULTI, front=brute_force_front(first))
-    for e in rest:
-        update_archive(archive, e)
-    assert seqs(archive.front) == seqs(brute_force_front(first + rest))
 
 
 @settings(deadline=None)
