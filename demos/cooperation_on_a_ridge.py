@@ -11,7 +11,7 @@ improvements travel between solvers.
 
 Usage: python3 demos/cooperation_on_a_ridge.py [seed]
 
-Takes roughly ten seconds: two full runs at 60000 scheduler messages each.
+Takes a few seconds: two full runs at 60000 scheduler messages each.
 """
 
 import sys

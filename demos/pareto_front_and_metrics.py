@@ -10,7 +10,7 @@ mode together with the files the harness wrote.
 
 Usage: python3 demos/pareto_front_and_metrics.py
 
-Takes under a minute: 1 + 2*3 runs of 1000 evaluations each.
+Takes about a second: 1 + 2*3 runs of 1000 evaluations each.
 """
 
 import csv

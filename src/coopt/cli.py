@@ -16,6 +16,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from coopt.harness import (
     PRESETS,
     ConfigError,
@@ -79,7 +81,10 @@ def _cmd_metrics(args) -> int:
     utopia = _parse_point(args.utopia, "--utopia") if args.utopia else None
     front = _read_objectives(args.front) if args.front else None
     try:
-        measures = front_measures(points, reference, utopia, front)
+        # Extreme values give inf or nan measures, which numpy would also
+        # warn about on stderr.
+        with np.errstate(all="ignore"):
+            measures = front_measures(points, reference, utopia, front)
     except ValueError as exc:  # a --front without two z columns, or empty
         raise InputError(exc) from None
     writer = csv.writer(sys.stdout)
@@ -96,7 +101,10 @@ def _cmd_report(args) -> int:
         with open(report_path, encoding="utf-8") as fh:
             summary = json.load(fh)
         write_run_csvs(run_dir, summary)
-    except (KeyError, TypeError, ValueError) as exc:  # ValueError: bad JSON
+    # ValueError: bad JSON; OverflowError: an integer past float's range;
+    # RecursionError: JSON nested too deep to decode.
+    except (KeyError, TypeError, ValueError, OverflowError,
+            RecursionError) as exc:
         raise InputError(f"{report_path} is not a run report "
                          f"({type(exc).__name__}: {exc})") from None
     print(f"wrote {run_dir / 'trace.csv'} and {run_dir / 'archive.csv'}")

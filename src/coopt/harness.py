@@ -65,9 +65,17 @@ class ConfigError(ValueError):
     """A config file failed validation; the message cites the line."""
 
 
+# np points of up to MAX_DIMENSION floats each make the shared initial
+# population: 800 MB at both bounds.
+MAX_NP = 10_000
+MAX_EVALUATORS = 1_000
+
+
 def _check_np(population_size: int) -> int:
     if population_size < 1:
         raise ValueError("np (population size) must be >= 1")
+    if population_size > MAX_NP:
+        raise ValueError(f"np (population size) must be <= {MAX_NP}")
     return population_size
 
 
@@ -91,6 +99,8 @@ class RunConfig:
         _check_np(self.population_size)
         if self.n_evaluators < 1:
             raise ValueError("n_evaluators must be >= 1")
+        if self.n_evaluators > MAX_EVALUATORS:
+            raise ValueError(f"n_evaluators must be <= {MAX_EVALUATORS}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.repetitions < 1:

@@ -131,6 +131,10 @@ def _build_false_readings() -> Problem:
                    front_parametrization=_false_readings_front_point)
 
 
+# The largest ``n`` of a ``<family>-<n>`` name; with ``harness.MAX_NP`` it
+# bounds a run's shared initial population (np points of n floats).
+MAX_DIMENSION = 10_000
+
 _FAMILIES: dict[str, Callable[[int], Problem]] = {
     "sphere": _build_sphere,
     "constrained-sphere": _build_constrained_sphere,
@@ -152,14 +156,20 @@ def available_names() -> list[str]:
 
 
 def registry_get(name: str) -> Problem:
-    """Build the named problem; ``<family>-<n>`` names set the dimension."""
+    """Build the named problem; ``<family>-<n>`` names set the dimension.
+
+    ``n`` is ASCII digits, in [1, MAX_DIMENSION]; it is checked before
+    anything is built.
+    """
     if name in _FIXED:
         return _FIXED[name]()
     family, sep, suffix = name.rpartition("-")
-    if sep and family in _FAMILIES and suffix.isdigit():
-        n = int(suffix)
-        if n < 1:
-            raise ValueError("dimension must be >= 1 in %r" % name)
+    if sep and family in _FAMILIES and suffix.isascii() and suffix.isdigit():
+        # Too many digits is out of range: int() refuses over 4300 of them.
+        n = int(suffix) if len(suffix.lstrip("0")) <= 5 else 0
+        if not 1 <= n <= MAX_DIMENSION:
+            raise ValueError("dimension must lie in [1, %d] in %r"
+                             % (MAX_DIMENSION, name))
         return _FAMILIES[family](n)
     raise KeyError("unknown problem %r; available: %s"
                    % (name, ", ".join(available_names())))

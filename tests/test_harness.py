@@ -152,6 +152,20 @@ def test_full_explicit_config(tmp_path):
      "[solver]\nkind = GA", "line 2: seed must be >= 0"),
     ("problem = sphere-3\npreset = hen-protocol\nrepetitions = 0",
      "line 3: repetitions must be >= 1"),
+    # Each problem below is refused before anything is built.
+    ("problem = sphere-99999999999999999999",
+     "line 1: dimension must lie in [1, 10000] in "
+     "'sphere-99999999999999999999'"),
+    ("problem = sphere-\uff13", "line 1: unknown problem 'sphere-\uff13'"),
+    ("problem = sphere-\u00b2", "line 1: unknown problem 'sphere-\u00b2'"),
+    ("problem = sphere-10001",
+     "line 1: dimension must lie in [1, 10000] in 'sphere-10001'"),
+    ("problem = sphere-3\npreset = hen-protocol\nnp = 10001",
+     "line 3: np (population size) must be <= 10000"),
+    ("problem = sphere-3\nnp = 10001\nbudget = messages:10\n"
+     "[solver]\nkind = GA", "line 2: np (population size) must be <= 10000"),
+    ("problem = sphere-3\npreset = hen-protocol\nn_evaluators = 1001",
+     "line 3: n_evaluators must be <= 1000"),
 ])
 def test_config_errors_cite_lines(tmp_path, text, fragment):
     lines = [ln.strip() for ln in text.splitlines()]
@@ -632,6 +646,35 @@ def test_cli_bad_input_is_an_error_not_a_traceback(tmp_path, monkeypatch,
     assert err.startswith("error: ") and fragment in err
     for name, text in files.items():  # a failed command writes no file
         assert (tmp_path / name).read_text(encoding="utf-8") == text
+
+
+@pytest.mark.parametrize("text, fragment", [
+    # float() of an integer past 1.8e308 raises OverflowError.
+    (json.dumps({"trace": [], "archive": [{
+        "point": [10**400], "objectives": [0.5], "g": -1.0,
+        "solver_id": "ga", "seq": 1}]}),
+     "(OverflowError: int too large to convert to float)"),
+    ("[" * 100_000 + "]" * 100_000, "(RecursionError: maximum recursion"),
+], ids=["huge-integer", "deep-nesting"])
+def test_cli_report_on_json_out_of_reach_is_an_error(tmp_path, capsys, text,
+                                                     fragment):
+    (tmp_path / "report.json").write_text(text, encoding="utf-8")
+    assert cli_main(["report", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err
+    assert not (tmp_path / "archive.csv").exists()
+
+
+def test_cli_metrics_on_extreme_values_prints_no_warning(tmp_path, capsys):
+    # pytest turns a numpy RuntimeWarning (overflow in subtract) into an
+    # error, so this fails if one is raised.
+    archive = tmp_path / "archive.csv"
+    archive.write_text("z1,z2\n1e308,-1e308\n-1e308,1e308\n")
+    assert cli_main(["metrics", str(archive), "--ref", "1,1",
+                     "--front", str(archive)]) == 0
+    rows = dict(line.split(",", 1)
+                for line in capsys.readouterr().out.strip().splitlines()[1:])
+    assert rows["area"] == "nan" and rows["non-dominated points"] == "2.0"
 
 
 def test_cli_metrics_reads_archive(tmp_path, capsys):

@@ -40,6 +40,14 @@ cooperating runs gained seq 299: one ``improvement`` line just before
 ``terminated`` and report.json (62 -> 63 and 112 -> 113).  metrics.csv
 and the independent runs did not change.
 
+``STALL_GOLDEN`` pins two runs that stall: sphere-3 with only SD and CS,
+np 2, 2 evaluators, seed 0 and 60000 messages, at repetition 0.  Once
+both descents have used up their starts, each waits for a shared one that
+never comes, so the run loop raises ``Stalled`` at message 5508
+(independent) or 34004 (cooperating).  Each
+hash also covers report.json, less ``wall_time``, which holds the stall
+message; a change to how a stalled run ends moves these and only these.
+
 A change that alters any message, its order, or the written outputs breaks
 them.  A change that alters outputs on purpose must say why and record the
 new hashes.
@@ -47,6 +55,7 @@ new hashes.
 
 import hashlib
 import importlib.util
+import json
 import re
 from pathlib import Path
 
@@ -107,6 +116,12 @@ EXPERIMENT_GOLDEN = {
     "biobj-quadratic-2":
         "c5d035fc93e8a1f607b54e6997b995b78770d04ce88d5eb8d30b436dbd2e9539",
 }
+STALL_GOLDEN = {  # sharing -> (message it stalls at, hash)
+    False: (5_508,
+            "ee4d982eb61886f56ae1ee2ed35c4958e7efa76fea5c325a314b21c9e9708e10"),
+    True: (34_004,
+           "7b0ef5b70d6919cf73ed7936a69059daff2d6f514cd998daca9a770a015ef89b"),
+}
 WALL_TIME = re.compile(rb', "wall_time": [-+.e0-9]+')
 LADDER = (("GA", 10, "ga-small", 1), ("GA", 50, "ga-large", 3),
           ("PPA", 5, "ppa-small", 5), ("PPA", 20, "ppa-large", 7),
@@ -143,11 +158,17 @@ def _workloads():
     return module
 
 
-def _digest(cfg: RunConfig, tmp_path, rep_index: int = 0) -> str:
+def _digest(cfg: RunConfig, tmp_path, rep_index: int = 0,
+            with_report: bool = False) -> str:
     run_dir = write_run_dir(tmp_path, run_once(cfg, rep_index))
     digest = hashlib.sha256()
     for name in ("trace.csv", "archive.csv", "events.log"):
         digest.update((run_dir / name).read_bytes())
+    if with_report:
+        blob, found = WALL_TIME.subn(
+            b"", (run_dir / "report.json").read_bytes())
+        assert found == 1
+        digest.update(blob)
     return digest.hexdigest()
 
 
@@ -161,6 +182,21 @@ def test_bench_workload_matches_golden_hash(tmp_path, name):
     cfg = _workloads().build_config(name, 1)
     for rep_index, golden in enumerate(BENCH_GOLDEN[name]):
         assert _digest(cfg, tmp_path / str(rep_index), rep_index) == golden
+
+
+@pytest.mark.parametrize("sharing", list(STALL_GOLDEN),
+                         ids=["independent", "cooperating"])
+def test_stalled_run_matches_golden_hash(tmp_path, sharing):
+    cfg = RunConfig(problem="sphere-3", budget=Budget.messages(60_000),
+                    solvers=(SolverConfig("SD", instance_label="sd"),
+                             SolverConfig("CS", instance_label="cs")),
+                    population_size=2, n_evaluators=2, sharing=sharing,
+                    seed=0, repetitions=1)
+    messages, golden = STALL_GOLDEN[sharing]
+    digest = _digest(cfg, tmp_path, with_report=True)
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert f"stalled at message {messages}:" in report["error"]
+    assert digest == golden
 
 
 def _experiment_digest(problem: str, out) -> str:
