@@ -9,9 +9,11 @@ Improvements are forwarded to the scheduler, which records them
 solvers when sharing is on; one that meets the scheduler's closed inbox
 is recorded here.
 
-The feasible front is indexed as a staircase (z1 ascending, z2 strictly
-decreasing; Kung, Luccio & Preparata, JACM 1975), so an insert costs a
-bisection plus the members it evicts, not a scan of the front.
+The front is kept in arrival order in an insertion-ordered dict keyed by
+``Evaluation`` (compared by identity), and its feasible members are also
+indexed as a staircase (z1 ascending, z2 strictly decreasing; Kung,
+Luccio & Preparata, JACM 1975).  So an insert costs a bisection plus one
+dict deletion per member it evicts, not a scan or rebuild of the front.
 """
 
 from __future__ import annotations
@@ -36,8 +38,10 @@ class _Staircase:
         self.z1: list[float] = []
         self.z2: list[float] = []
 
-    def insert(self, evaluation: Evaluation) -> Optional[list[Evaluation]]:
-        """Add a feasible point; the members it evicts, or None if refused.
+    def insert(self, evaluation: Evaluation,
+               key: tuple[float, float]) -> Optional[list[Evaluation]]:
+        """Add a feasible point, whose ``pareto_key`` is ``key``; return the
+        members it evicts, or None if refused.
 
         Refused when a member weakly dominates it: the last member with a
         smaller z1, or one with an equal z1, has z2 at or below its own
@@ -45,7 +49,7 @@ class _Staircase:
         Otherwise it evicts the run of members from its place on whose z2
         is at or above its own.
         """
-        a, b = pareto_key(evaluation)
+        a, b = key
         z1, z2 = self.z1, self.z2
         i = bisect_left(z1, a)
         if (i and z2[i - 1] <= b) or (
@@ -65,14 +69,17 @@ class _Staircase:
 class Archive:
     """Best-so-far record: one evaluation (single) or a front (multi).
 
-    An archive starts empty; ``update_archive`` fills it.  ``front`` is in
-    arrival order, which ``archive.csv`` and the front metrics read.
+    An archive starts empty; ``update_archive`` fills it.  ``front`` is a
+    new list of the members in arrival order, which ``archive.csv`` and the
+    front metrics read.
     """
 
     mode: str
     best: Optional[Evaluation] = field(default=None, init=False)
-    front: list[Evaluation] = field(default_factory=list, init=False)
-    # Index of the feasible members of ``front``.
+    # The front in arrival order: member -> None.
+    _front: dict[Evaluation, None] = field(default_factory=dict, init=False,
+                                           repr=False)
+    # Index of the feasible members of the front.
     _stairs: _Staircase = field(default_factory=_Staircase, init=False,
                                 repr=False, compare=False)
 
@@ -86,10 +93,14 @@ class Archive:
         # on exit.
         return f"<Archive {self.mode}: {len(self.members())} members>"
 
+    @property
+    def front(self) -> list[Evaluation]:
+        return list(self._front)
+
     def members(self) -> list[Evaluation]:
         if self.mode == SINGLE:
             return [self.best] if self.best is not None else []
-        return list(self.front)
+        return self.front
 
 
 def update_archive(archive: Archive, evaluation: Evaluation) -> bool:
@@ -97,7 +108,7 @@ def update_archive(archive: Archive, evaluation: Evaluation) -> bool:
 
     A single-objective newcomer replaces ``best`` iff it dominates it.
     Multi-objective insertions evict every member the newcomer dominates
-    and append it to ``front``.  A newcomer with objectives identical to a
+    and append it to the front.  A newcomer with objectives identical to a
     surviving member is not an improvement (first arrival kept), so the
     archive depends only on the arrival order.  Infeasible and failed
     newcomers are refused once a feasible member exists; until then the
@@ -114,27 +125,26 @@ def update_archive(archive: Archive, evaluation: Evaluation) -> bool:
 
 
 def _insert_into_front(archive: Archive, evaluation: Evaluation) -> bool:
-    pareto_key(evaluation)  # the objective-count check, for every newcomer
-    stairs = archive._stairs
+    key = pareto_key(evaluation)  # also checks every newcomer's objectives
+    front, stairs = archive._front, archive._stairs
     if evaluation.feasible:
         if not stairs.members:  # the first feasible point clears the front
-            archive.front = []
-        evicted = stairs.insert(evaluation)
+            front.clear()
+        evicted = stairs.insert(evaluation, key)
         if evicted is None:
             return False
-        if evicted:
-            gone = set(evicted)
-            archive.front = [m for m in archive.front if m not in gone]
+        for member in evicted:
+            del front[member]
     elif stairs.members:
         return False
-    elif archive.front:
-        g = archive.front[0].constraint  # the members share one g
+    elif front:
+        g = next(iter(front)).constraint  # the members share one g
         if evaluation.constraint > g or (evaluation.constraint == g and any(
-                m.objectives == evaluation.objectives for m in archive.front)):
+                m.objectives == evaluation.objectives for m in front)):
             return False
         if evaluation.constraint < g:
-            archive.front = []
-    archive.front.append(evaluation)
+            front.clear()
+    front[evaluation] = None
     return True
 
 

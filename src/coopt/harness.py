@@ -37,11 +37,11 @@ import asyncio
 import codecs
 import csv
 import itertools
-import json
 import re
 import time
 from dataclasses import dataclass, replace
 from functools import partial
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
@@ -55,7 +55,7 @@ from coopt.messaging import Mailbox, MailboxClosed
 from coopt.metrics import MEASURES, front_measures
 from coopt.problems import front_samples, registry_get
 from coopt.scheduler import (Budget, EventLog, RunRecord, SchedulerState,
-                              scheduler_loop)
+                              scheduler_loop, sorted_encoder)
 from coopt.solvers import SolverConfig, solver_loop
 
 MODES = (("independent", False), ("cooperating", True))
@@ -529,8 +529,35 @@ def front_metrics(objective_points, problem_name: str) -> dict:
 
 # ------------------------------------------------------------------ reports
 
+# json.dumps's spelling of the non-finite floats, which repr spells nan,
+# inf and -inf.
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# A trace row's and an archive member's report.json item: keys sorted, as
+# json.dumps writes them.
+_TRACE_ITEM = ('{"class": %s, "dispatches": %d, "instance_label": %s, '
+               '"messages": %d, "seq": %d, "z": %s}')
+_MEMBER_ITEM = ('{"g": %s, "objectives": [%s], "point": [%s], "seq": %d, '
+                '"solver_id": %s}')
+
+
 def _float_cell(value) -> str:
+    """A float's cell in every CSV: its shortest round-trip repr."""
     return repr(float(value))
+
+
+def _float_cells(values):
+    """``_float_cell`` of each value, without a Python call per value."""
+    return map(repr, map(float, values))
+
+
+def _json_float(cell: str) -> str:
+    """A float cell as json.dumps spells the float."""
+    return _JSON_NONFINITE.get(cell, cell)
+
+
+def _json_floats(cells) -> str:
+    """The items of a JSON array of float cells."""
+    return ", ".join(map(_JSON_NONFINITE.get, cells, cells))
 
 
 def _write_csv(path, header: list, rows) -> None:
@@ -546,48 +573,95 @@ def _trace_table(trace: list[dict]) -> tuple[list, list]:
     header = ["seq", "messages", "dispatches"] \
         + [f"z{i + 1}" for i in range(n_obj)] + ["instance_label", "class"]
     return header, [
-        [row["seq"], row["messages"], row["dispatches"]]
-        + [_float_cell(z) for z in row["z"]]
-        + [row["instance_label"], row["class"]]
+        [row["seq"], row["messages"], row["dispatches"],
+         *_float_cells(row["z"]), row["instance_label"], row["class"]]
         for row in trace
     ]
 
 
-def _archive_table(archive: list[dict]) -> tuple[list, list]:
-    """archive.csv: one row per member: point, objectives, g, origin."""
-    n_dim = len(archive[0]["point"]) if archive else 0
-    n_obj = len(archive[0]["objectives"]) if archive else 1
+def _archive_table(members: list[tuple]) -> tuple[list, list]:
+    """archive.csv: one row per member ``(point, objectives, g, solver_id,
+    seq)``: point, objectives, g, origin."""
+    n_dim = len(members[0][0]) if members else 0
+    n_obj = len(members[0][1]) if members else 1
     header = [f"d{i + 1}" for i in range(n_dim)] \
         + [f"z{i + 1}" for i in range(n_obj)] + ["g", "solver_id", "seq"]
     return header, [
-        [_float_cell(d) for d in member["point"]]
-        + [_float_cell(z) for z in member["objectives"]]
-        + [_float_cell(member["g"]), member["solver_id"], member["seq"]]
-        for member in archive
+        [*_float_cells(point), *_float_cells(objectives), _float_cell(g),
+         solver_id, seq]
+        for point, objectives, g, solver_id, seq in members
     ]
 
 
 def write_run_csvs(run_dir, summary: dict) -> None:
-    """trace.csv and archive.csv from the row lists of a ``report_summary``.
+    """trace.csv and archive.csv from a report.json's ``trace`` and
+    ``archive`` lists, as ``write_run_dir`` writes them.
 
     Both tables are rendered before either file is opened, so a summary
     that cannot be rendered (a malformed report.json) leaves both as they
     were.
     """
-    tables = {"archive.csv": _archive_table(summary["archive"]),
-              "trace.csv": _trace_table(summary["trace"])}
+    tables = {
+        "archive.csv": _archive_table([
+            (m["point"], m["objectives"], m["g"], m["solver_id"], m["seq"])
+            for m in summary["archive"]]),
+        "trace.csv": _trace_table(summary["trace"]),
+    }
     for name, (header, rows) in tables.items():
         _write_csv(Path(run_dir) / name, header, rows)
 
 
-def report_summary(report: RunReport) -> dict:
-    """The JSON-serializable run summary (everything but the raw events).
+def _write_trace_csv(path, trace: list[dict]) -> list[str]:
+    """Write trace.csv; return each row's ``z`` as its JSON array text."""
+    header, rows = _trace_table(trace)
+    _write_csv(path, header, rows)
+    return [f"[{_json_floats(cells[3:-2])}]" for cells in rows]
 
-    Its ``trace`` and ``archive`` lists are the rows of trace.csv and
-    archive.csv; ``write_run_csvs`` renders them.
+
+def _write_report_json(path, fields: dict, arrays: dict) -> None:
+    """Write ``json.dumps({**fields, **arrays}, sort_keys=True) + "\n"``,
+    where each array is given as its items' JSON texts, and stream it."""
+    encode = sorted_encoder()
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        separator = "{"
+        for key in sorted([*fields, *arrays]):
+            fh.write(f"{separator}{encode_basestring_ascii(key)}: ")
+            separator = ", "
+            if key in arrays:
+                items = iter(arrays[key])
+                fh.write("[" + next(items, ""))
+                fh.writelines(", " + item for item in items)
+                fh.write("]")
+            else:
+                fh.writelines(encode(fields[key], 0))
+        fh.write("}\n")
+
+
+def write_run_dir(run_dir, report: RunReport) -> Path:
+    """Write a run's trace.csv, archive.csv, events.log and report.json.
+
+    Each float of the trace's ``z`` and of the archive members is rendered
+    once, as ``_float_cell`` renders it.  The CSV rows hold those texts, and
+    report.json's ``trace`` and ``archive`` arrays and the improvement
+    lines of events.log are built from them, with the non-finite ones
+    spelled as ``json.dumps`` spells them.  Every other report.json value
+    goes through one ``sorted_encoder``.  The values are floats, as
+    ``evaluate_model`` makes them, and the bytes are those of
+    ``json.dumps(summary, sort_keys=True) + "\n"`` for the summary of
+    every key here, of ``write_run_csvs`` on that summary, and of
+    ``EventLog.write``.
     """
+    run_dir = Path(run_dir)
+    run_dir.mkdir(parents=True, exist_ok=True)
+    z_arrays = _write_trace_csv(run_dir / "trace.csv", report.trace)
+    report.events.write(run_dir / "events.log", {
+        id(row["z"]): z for row, z in zip(report.trace, z_arrays)})
     members = report.archive.members() if report.archive else []
-    return {
+    header, rows = _archive_table([
+        (m.point.tolist(), m.objectives, m.constraint, m.solver_id, m.seq)
+        for m in members])
+    _write_csv(run_dir / "archive.csv", header, rows)
+    _write_report_json(run_dir / "report.json", {
         "problem": report.problem,
         "mode": report.mode,
         "rep_index": report.rep_index,
@@ -600,26 +674,17 @@ def report_summary(report: RunReport) -> dict:
         "best": report.best_value(),
         "front_size": len(members),
         "metrics": report.metrics_row,
-        "trace": report.trace,
-        "archive": [
-            {"point": list(m.point), "objectives": list(m.objectives),
-             "g": m.constraint, "solver_id": m.solver_id, "seq": m.seq}
-            for m in members
-        ],
-    }
-
-
-def write_run_dir(run_dir, report: RunReport) -> Path:
-    run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    summary = report_summary(report)
-    write_run_csvs(run_dir, summary)
-    report.events.write(run_dir / "events.log")
-    # One line: ``indent`` would force the pure-Python encoder, which costs
-    # several times as much on a large front.
-    (run_dir / "report.json").write_text(
-        json.dumps(summary, sort_keys=True) + "\n", encoding="utf-8",
-        newline="\n")
+    }, {
+        "trace": (_TRACE_ITEM % (
+            encode_basestring_ascii(row["class"]), row["dispatches"],
+            encode_basestring_ascii(row["instance_label"]), row["messages"],
+            row["seq"], z) for row, z in zip(report.trace, z_arrays)),
+        "archive": (_MEMBER_ITEM % (
+            _json_float(cells[-3]), _json_floats(cells[len(m.point):-3]),
+            _json_floats(cells[:len(m.point)]), m.seq,
+            encode_basestring_ascii(m.solver_id))
+            for m, cells in zip(members, rows)),
+    })
     return run_dir
 
 

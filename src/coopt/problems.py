@@ -158,15 +158,19 @@ def available_names() -> list[str]:
 def registry_get(name: str) -> Problem:
     """Build the named problem; ``<family>-<n>`` names set the dimension.
 
-    ``n`` is ASCII digits, in [1, MAX_DIMENSION]; it is checked before
-    anything is built.
+    ``n`` is ASCII digits with no leading zero, in [1, MAX_DIMENSION]; it
+    is checked before anything is built.  A leading zero is refused, so
+    that each problem has one name: ``sphere-003`` would build sphere-3.
     """
     if name in _FIXED:
         return _FIXED[name]()
     family, sep, suffix = name.rpartition("-")
     if sep and family in _FAMILIES and suffix.isascii() and suffix.isdigit():
+        if len(suffix) > 1 and suffix[0] == "0":
+            raise ValueError("dimension must have no leading zero in %r"
+                             % name)
         # Too many digits is out of range: int() refuses over 4300 of them.
-        n = int(suffix) if len(suffix.lstrip("0")) <= 5 else 0
+        n = int(suffix) if len(suffix) <= 5 else 0
         if not 1 <= n <= MAX_DIMENSION:
             raise ValueError("dimension must lie in [1, %d] in %r"
                              % (MAX_DIMENSION, name))

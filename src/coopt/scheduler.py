@@ -140,25 +140,23 @@ class EventLog:
             else:
                 yield entry
 
-    def write(self, path) -> None:
+    def write(self, path, z_texts=None) -> None:
         """Write the log as events.log: one JSON object per line, keys
         sorted, as ``json.dumps(event, sort_keys=True)`` writes each event
         that iteration yields.
 
-        A row goes through ``_DISPATCH_LINE``, its labels through
+        A dispatch row goes through ``_DISPATCH_LINE``, and an improvement
+        or broadcast event made by ``RunRecord`` through
+        ``_IMPROVEMENT_LINE`` or ``_BROADCAST_LINE``, their labels through
         ``encode_basestring_ascii`` as ``json.dumps`` encodes strings.
-        One C encoder serves every other record: ``json.dumps`` and
-        ``JSONEncoder.encode`` build a new one, and a new
-        circular-reference table, per call.  The encoder comes from the
-        private ``json.encoder.c_make_encoder``, with the arguments
-        ``JSONEncoder(sort_keys=True)`` passes it, alike on Python 3.11 to
-        3.13, but no circular-reference table: a record is a tree.  The
-        lines are streamed, not joined first: the joined text would add
-        ~7 MB to a hen run's peak RSS.
+        ``z_texts`` maps the ``id`` of an improvement's ``z`` list to that
+        list's JSON text, for lists already rendered (``write_run_dir``
+        renders the trace's, which shares them); any other value goes
+        through ``sorted_encoder``.  The lines are streamed, not joined
+        first: the joined text would add ~7 MB to a hen run's peak RSS.
         """
-        encode = c_make_encoder(None, json.JSONEncoder().default,
-                                encode_basestring_ascii, None, ": ", ", ",
-                                True, False, True)
+        encode = sorted_encoder()
+        z_texts = z_texts or {}
 
         def lines():
             ordinal = 0
@@ -169,6 +167,15 @@ class EventLog:
                     yield _DISPATCH_LINE % (
                         ordinal, encode_basestring_ascii(evaluator),
                         messages, encode_basestring_ascii(solver))
+                elif type(entry) is _Improvement:
+                    z = entry["z"]
+                    yield _IMPROVEMENT_LINE % (
+                        entry["dispatches"], "".join(encode(entry["g"], 0)),
+                        entry["messages"], entry["seq"],
+                        encode_basestring_ascii(entry["solver"]),
+                        z_texts.get(id(z)) or "".join(encode(z, 0)))
+                elif type(entry) is _Broadcast:
+                    yield _BROADCAST_LINE % (entry["delivered"], entry["seq"])
                 else:
                     yield "".join(encode(entry, 0)) + "\n"
 
@@ -176,10 +183,42 @@ class EventLog:
             fh.writelines(lines())
 
 
-# A dispatch event's events.log line: its keys sorted, as json.dumps
-# writes them; the labels come JSON-encoded.
+def sorted_encoder():
+    """A JSON encoder: ``"".join(encode(obj, 0)) == json.dumps(obj,
+    sort_keys=True)``.
+
+    ``json.dumps`` and ``JSONEncoder.encode`` build a new encoder, and a
+    new circular-reference table, per call; a writer makes this one once.
+    It comes from the private ``json.encoder.c_make_encoder``, with the
+    arguments ``JSONEncoder(sort_keys=True)`` passes it, alike on Python
+    3.11 to 3.13, but no circular-reference table: a record is a tree.
+    """
+    return c_make_encoder(None, json.JSONEncoder().default,
+                          encode_basestring_ascii, None, ": ", ", ",
+                          True, False, True)
+
+
+class _Improvement(dict):
+    """An improvement event as ``RunRecord.improvement`` makes it, so that
+    ``EventLog.write`` knows its keys and renders it by template."""
+
+    __slots__ = ()
+
+
+class _Broadcast(dict):
+    """A broadcast event as ``RunRecord.broadcast`` makes it, likewise."""
+
+    __slots__ = ()
+
+
+# The events.log line of a dispatch, an improvement and a broadcast event:
+# keys sorted, as json.dumps writes them; labels and numbers come
+# JSON-encoded.
 _DISPATCH_LINE = ('{"dispatches": %d, "evaluator": %s, "event": "dispatch", '
                   '"messages": %d, "solver": %s}\n')
+_IMPROVEMENT_LINE = ('{"dispatches": %d, "event": "improvement", "g": %s, '
+                     '"messages": %d, "seq": %d, "solver": %s, "z": %s}\n')
+_BROADCAST_LINE = '{"delivered": %d, "event": "broadcast", "seq": %d}\n'
 
 
 @dataclass
@@ -228,22 +267,22 @@ class RunRecord:
 
     def improvement(self, evaluation) -> None:
         """An archive improvement: a trace row and an event."""
-        improvement = {
-            "event": "improvement",
-            "seq": evaluation.seq,
-            "solver": evaluation.solver_id,
-            "z": list(evaluation.objectives),
-            "g": evaluation.constraint,
-            "messages": self.messages,
-            "dispatches": self.dispatches,
-        }
+        improvement = _Improvement(
+            event="improvement",
+            seq=evaluation.seq,
+            solver=evaluation.solver_id,
+            z=list(evaluation.objectives),
+            g=evaluation.constraint,
+            messages=self.messages,
+            dispatches=self.dispatches,
+        )
         self.improvements.append(improvement)
         self.events.append(improvement)
 
     def broadcast(self, seq: int, delivered: int) -> None:
         self.broadcasts += delivered
-        self.events.append({"event": "broadcast", "seq": seq,
-                            "delivered": delivered})
+        self.events.append(_Broadcast(event="broadcast", seq=seq,
+                                      delivered=delivered))
 
     def refusal(self, solver: str) -> None:
         self.refusals += 1

@@ -5,6 +5,9 @@ Monte-Carlo estimates, hand formulas) so agreement with the library is
 evidence rather than tautology.
 """
 
+import csv
+import io
+import json
 import math
 
 import numpy as np
@@ -225,3 +228,76 @@ def logged_events(entries):
         else:
             expected.append(entry)
     return log, expected
+
+
+def report_summary(report):
+    """A run's report.json as a dict, as ``write_run_dir`` first built it."""
+    members = report.archive.members() if report.archive else []
+    return {
+        "problem": report.problem,
+        "mode": report.mode,
+        "rep_index": report.rep_index,
+        "sharing": report.sharing,
+        "valid": report.valid,
+        "error": report.error,
+        "wall_time": report.wall_time,
+        "counters": report.counters,
+        "per_solver_evaluations": report.per_solver_evaluations,
+        "best": report.best_value(),
+        "front_size": len(members),
+        "metrics": report.metrics_row,
+        "trace": report.trace,
+        "archive": [
+            {"point": list(m.point), "objectives": list(m.objectives),
+             "g": m.constraint, "solver_id": m.solver_id, "seq": m.seq}
+            for m in members
+        ],
+    }
+
+
+def run_dir_bytes(report):
+    """The four files of a run directory, by name, as the first writer
+    rendered them: ``json.dumps`` of ``report_summary`` and of each event,
+    and ``csv.writer`` over ``repr(float(v))`` cells."""
+    summary = report_summary(report)
+    return {
+        "report.json": (json.dumps(summary, sort_keys=True)
+                        + "\n").encode("utf-8"),
+        "events.log": "".join(json.dumps(event, sort_keys=True) + "\n"
+                              for event in report.events).encode("utf-8"),
+        **run_csv_bytes(summary),
+    }
+
+
+def run_csv_bytes(summary):
+    """trace.csv and archive.csv of a ``report_summary``, by name."""
+    def table(header, rows):
+        out = io.StringIO(newline="")
+        writer = csv.writer(out)
+        writer.writerow(header)
+        writer.writerows(rows)
+        return out.getvalue().encode("utf-8")
+
+    def cell(value):
+        return repr(float(value))
+
+    trace, archive = summary["trace"], summary["archive"]
+    n_obj = max((len(row["z"]) for row in trace), default=1)
+    n_dim = len(archive[0]["point"]) if archive else 0
+    n_obj_archive = len(archive[0]["objectives"]) if archive else 1
+    return {
+        "trace.csv": table(
+            ["seq", "messages", "dispatches"]
+            + [f"z{i + 1}" for i in range(n_obj)]
+            + ["instance_label", "class"],
+            [[row["seq"], row["messages"], row["dispatches"]]
+             + [cell(z) for z in row["z"]]
+             + [row["instance_label"], row["class"]] for row in trace]),
+        "archive.csv": table(
+            [f"d{i + 1}" for i in range(n_dim)]
+            + [f"z{i + 1}" for i in range(n_obj_archive)]
+            + ["g", "solver_id", "seq"],
+            [[cell(d) for d in m["point"]]
+             + [cell(z) for z in m["objectives"]]
+             + [cell(m["g"]), m["solver_id"], m["seq"]] for m in archive]),
+    }

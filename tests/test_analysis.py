@@ -173,3 +173,50 @@ def test_large_archive_repr_is_short():
     for i in range(5_000):
         assert update_archive(a, ev((float(i), float(5_000 - i)), seq=i))
     assert len(repr(a)) < 200
+
+
+def test_front_is_a_new_list_in_arrival_order():
+    a = Archive(MULTI)
+    members = [ev((1.0, 3.0), seq=1), ev((3.0, 1.0), seq=2),
+               ev((2.0, 2.0), seq=3)]
+    for e in members:
+        update_archive(a, e)
+    front = a.front
+    assert front == members
+    assert a.front is not front
+    front.clear()
+    front.append(ev((0.0, 0.0)))
+    assert a.front == members == a.members()
+    assert not update_archive(a, ev((2.0, 2.5)))  # the archive still holds 3
+
+
+def test_eviction_heavy_stream_keeps_the_ordered_brute_force_front():
+    # Each round puts two points in every gap of the front, at a third and
+    # two thirds of the way (in one gap of four the first one moves to the
+    # gap's left end's z1, so it evicts that member); then one evictor on
+    # the corner of the front's 1st and 3rd quartile members dominates
+    # the half of the front between them.
+    rng = np.random.default_rng(7)
+    archive, stream, evicted = Archive(MULTI), [], 0
+
+    def add(z1, z2):
+        e = ev((float(z1), float(z2)), seq=len(stream))
+        stream.append(e)
+        return update_archive(archive, e)
+
+    for t in np.linspace(0.0, 1.0, 40):
+        add(t, 1.0 - t)
+    for _ in range(5):
+        stairs = sorted(m.objectives for m in archive.front)
+        for (a1, a2), (b1, b2) in zip(stairs, stairs[1:]):
+            w, h = (b1 - a1) / 3, (b2 - a2) / 3
+            assert add(a1 if rng.random() < 0.25 else a1 + w, a2 + h)
+            assert add(a1 + 2 * w, a2 + 2 * h)
+        stairs = sorted(m.objectives for m in archive.front)
+        n, half = len(stairs), 3 * len(stairs) // 4 - len(stairs) // 4 + 1
+        assert add(stairs[n // 4][0], stairs[3 * n // 4][1])
+        assert len(archive.front) == n - half + 1
+        evicted += half
+    assert evicted > 500
+    expected = brute_force_front(stream)
+    assert [e.seq for e in archive.front] == [e.seq for e in expected]

@@ -160,6 +160,8 @@ def test_full_explicit_config(tmp_path):
     ("problem = sphere-\u00b2", "line 1: unknown problem 'sphere-\u00b2'"),
     ("problem = sphere-10001",
      "line 1: dimension must lie in [1, 10000] in 'sphere-10001'"),
+    ("seed = 1\nproblem = sphere-003",
+     "line 2: dimension must have no leading zero in 'sphere-003'"),
     ("problem = sphere-3\npreset = hen-protocol\nnp = 10001",
      "line 3: np (population size) must be <= 10000"),
     ("problem = sphere-3\nnp = 10001\nbudget = messages:10\n"
