@@ -642,11 +642,10 @@ def write_run_dir(run_dir, report: RunReport) -> Path:
 
     Each float of the trace's ``z`` and of the archive members is rendered
     once, as ``_float_cell`` renders it.  The CSV rows hold those texts, and
-    report.json's ``trace`` and ``archive`` arrays and the improvement
-    lines of events.log are built from them, with the non-finite ones
-    spelled as ``json.dumps`` spells them.  Every other report.json value
-    goes through one ``sorted_encoder``.  The values are floats, as
-    ``evaluate_model`` makes them, and the bytes are those of
+    report.json's ``trace`` and ``archive`` arrays are built from them, with
+    the non-finite ones spelled as ``json.dumps`` spells them.  Every other
+    report.json value goes through one ``sorted_encoder``.  The values are
+    floats, as ``evaluate_model`` makes them, and the bytes are those of
     ``json.dumps(summary, sort_keys=True) + "\n"`` for the summary of
     every key here, of ``write_run_csvs`` on that summary, and of
     ``EventLog.write``.
@@ -654,8 +653,7 @@ def write_run_dir(run_dir, report: RunReport) -> Path:
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     z_arrays = _write_trace_csv(run_dir / "trace.csv", report.trace)
-    report.events.write(run_dir / "events.log", {
-        id(row["z"]): z for row, z in zip(report.trace, z_arrays)})
+    report.events.write(run_dir / "events.log")
     members = report.archive.members() if report.archive else []
     header, rows = _archive_table([
         (m.point.tolist(), m.objectives, m.constraint, m.solver_id, m.seq)

@@ -140,7 +140,7 @@ class EventLog:
             else:
                 yield entry
 
-    def write(self, path, z_texts=None) -> None:
+    def write(self, path) -> None:
         """Write the log as events.log: one JSON object per line, keys
         sorted, as ``json.dumps(event, sort_keys=True)`` writes each event
         that iteration yields.
@@ -149,14 +149,11 @@ class EventLog:
         or broadcast event made by ``RunRecord`` through
         ``_IMPROVEMENT_LINE`` or ``_BROADCAST_LINE``, their labels through
         ``encode_basestring_ascii`` as ``json.dumps`` encodes strings.
-        ``z_texts`` maps the ``id`` of an improvement's ``z`` list to that
-        list's JSON text, for lists already rendered (``write_run_dir``
-        renders the trace's, which shares them); any other value goes
-        through ``sorted_encoder``.  The lines are streamed, not joined
-        first: the joined text would add ~7 MB to a hen run's peak RSS.
+        Every other value goes through one ``sorted_encoder``.  The lines
+        are streamed, not joined first: the joined text would add ~7 MB to
+        a hen run's peak RSS.
         """
         encode = sorted_encoder()
-        z_texts = z_texts or {}
 
         def lines():
             ordinal = 0
@@ -168,12 +165,11 @@ class EventLog:
                         ordinal, encode_basestring_ascii(evaluator),
                         messages, encode_basestring_ascii(solver))
                 elif type(entry) is _Improvement:
-                    z = entry["z"]
                     yield _IMPROVEMENT_LINE % (
                         entry["dispatches"], "".join(encode(entry["g"], 0)),
                         entry["messages"], entry["seq"],
                         encode_basestring_ascii(entry["solver"]),
-                        z_texts.get(id(z)) or "".join(encode(z, 0)))
+                        "".join(encode(entry["z"], 0)))
                 elif type(entry) is _Broadcast:
                     yield _BROADCAST_LINE % (entry["delivered"], entry["seq"])
                 else:

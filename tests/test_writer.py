@@ -84,13 +84,10 @@ def reports(draw):
             members = [evaluation() for _ in range(draw(st.integers(1, 4)))]
             archive._front.update(dict.fromkeys(members))
 
-    # As run_once builds it: each row shares its event's z list, which the
-    # writer renders once; unshared lists take the writer's other path.
-    share = draw(st.booleans())
     classes = {label: draw(LABELS) for label in labels}
     trace = [{"seq": e["seq"], "messages": e["messages"],
               "dispatches": e["dispatches"],
-              "z": e["z"] if share else list(e["z"]),
+              "z": e["z"],
               "instance_label": e["solver"], "class": classes[e["solver"]]}
              for e in record.improvements]
     return RunReport(
