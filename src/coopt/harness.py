@@ -727,7 +727,7 @@ def run_experiment(cfg: RunConfig) -> dict:
                 kept[mode].append((report.best_value(), report.metrics_row))
             else:
                 failures.append(f"{mode}-rep{rep:02d}: {report.error}")
-            # A hen run's ~30k events (~3.3 MB): not held over the next run.
+            # A hen run's ~30k events (~0.5 MB): not held over the next run.
             del report
 
     summary = {

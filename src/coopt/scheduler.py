@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import asyncio
 import json
+from array import array
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from itertools import count, islice
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, NamedTuple, Optional
 
@@ -107,38 +109,68 @@ class Budget:
 class EventLog:
     """A run's event log: every event, in order, read as dicts.
 
-    A hen run logs ~30k ``dispatch`` events, so the log keeps each as a
-    row ``(evaluator, solver, messages)`` (~110 B) instead of a 5-key dict
-    (~250 B).  A row stores no ``dispatches`` value: ``RunRecord.dispatch``
-    logs each dispatch right after counting it, so that value is the row's
-    ordinal among the rows.  Every other event is kept as the dict given
-    to ``append``.  Iteration builds a dispatch's dict when it is read;
+    A hen run logs ~30k ``dispatch`` events, so the log keeps them as
+    columns, ~17 B a row where a tuple row took ~100 B and a 5-key dict
+    ~250 B: each label is kept once in a label table, and a row is its
+    evaluator's and solver's label indices (32-bit unsigned: the solver
+    count has no bound) and its message count (a signed 64-bit machine
+    integer, so ``dispatch`` raises ``OverflowError`` from 2**63 on).  A
+    row stores no ``dispatches`` value: ``RunRecord.dispatch`` logs each
+    dispatch right after counting it, so that value is the row's ordinal.
+    Every other event is kept as the dict given to ``append``, with the
+    number of rows logged before it; iteration and ``write`` merge the
+    two in order.  Iteration builds a dispatch's dict when it is read;
     ``write`` renders the rows without building it.
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_labels", "_evaluators", "_solvers", "_messages",
+                 "_events", "_rows_before")
 
     def __init__(self):
-        self._entries: list = []  # rows (tuples) and dict events
+        self._labels: dict[str, int] = {}  # label -> index, in first use
+        self._evaluators = array("I")
+        self._solvers = array("I")
+        self._messages = array("q")
+        self._events: list[dict] = []
+        self._rows_before = array("q")  # per event in _events
 
-    def append(self, entry) -> None:
-        """Log a dispatch row (a tuple) or any other event (a dict)."""
-        self._entries.append(entry)
+    def dispatch(self, evaluator: str, solver: str, messages: int) -> None:
+        """Log a dispatch row.  The count goes first: one it cannot hold
+        raises before any column grows."""
+        self._messages.append(messages)
+        labels = self._labels
+        self._evaluators.append(labels.setdefault(evaluator, len(labels)))
+        self._solvers.append(labels.setdefault(solver, len(labels)))
+
+    def append(self, event: dict) -> None:
+        """Log any event other than a dispatch."""
+        self._rows_before.append(len(self._messages))
+        self._events.append(event)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._messages) + len(self._events)
+
+    def _runs(self):
+        """The log in order, as pairs (rows, event): an iterator over the
+        rows ``(ordinal, evaluator index, solver index, messages)`` logged
+        before ``event``, then the event; the last pair's event is None.
+        Each pair's rows must be read before the next pair is taken."""
+        rows = zip(count(1), self._evaluators, self._solvers, self._messages)
+        logged = 0
+        for rows_before, event in zip(self._rows_before, self._events):
+            yield islice(rows, rows_before - logged), event
+            logged = rows_before
+        yield rows, None
 
     def __iter__(self):
-        ordinal = 0
-        for entry in self._entries:
-            if type(entry) is tuple:
-                ordinal += 1
-                evaluator, solver, messages = entry
-                yield {"event": "dispatch", "evaluator": evaluator,
-                       "solver": solver, "messages": messages,
+        labels = list(self._labels)
+        for rows, event in self._runs():
+            for ordinal, evaluator, solver, messages in rows:
+                yield {"event": "dispatch", "evaluator": labels[evaluator],
+                       "solver": labels[solver], "messages": messages,
                        "dispatches": ordinal}
-            else:
-                yield entry
+            if event is not None:
+                yield event
 
     def write(self, path) -> None:
         """Write the log as events.log: one JSON object per line, keys
@@ -148,32 +180,29 @@ class EventLog:
         A dispatch row goes through ``_DISPATCH_LINE``, and an improvement
         or broadcast event made by ``RunRecord`` through
         ``_IMPROVEMENT_LINE`` or ``_BROADCAST_LINE``, their labels through
-        ``encode_basestring_ascii`` as ``json.dumps`` encodes strings.
-        Every other value goes through one ``sorted_encoder``.  The lines
-        are streamed, not joined first: the joined text would add ~7 MB to
-        a hen run's peak RSS.
+        ``encode_basestring_ascii`` as ``json.dumps`` encodes strings (the
+        label table once, not each row).  Every other value goes through
+        one ``sorted_encoder``.  The lines are streamed, not joined first:
+        the joined text would add ~7 MB to a hen run's peak RSS.
         """
         encode = sorted_encoder()
+        labels = [encode_basestring_ascii(label) for label in self._labels]
 
         def lines():
-            ordinal = 0
-            for entry in self._entries:
-                if type(entry) is tuple:
-                    ordinal += 1
-                    evaluator, solver, messages = entry
-                    yield _DISPATCH_LINE % (
-                        ordinal, encode_basestring_ascii(evaluator),
-                        messages, encode_basestring_ascii(solver))
-                elif type(entry) is _Improvement:
+            for rows, event in self._runs():
+                for ordinal, evaluator, solver, messages in rows:
+                    yield _DISPATCH_LINE % (ordinal, labels[evaluator],
+                                            messages, labels[solver])
+                if type(event) is _Improvement:
                     yield _IMPROVEMENT_LINE % (
-                        entry["dispatches"], "".join(encode(entry["g"], 0)),
-                        entry["messages"], entry["seq"],
-                        encode_basestring_ascii(entry["solver"]),
-                        "".join(encode(entry["z"], 0)))
-                elif type(entry) is _Broadcast:
-                    yield _BROADCAST_LINE % (entry["delivered"], entry["seq"])
-                else:
-                    yield "".join(encode(entry, 0)) + "\n"
+                        event["dispatches"], "".join(encode(event["g"], 0)),
+                        event["messages"], event["seq"],
+                        encode_basestring_ascii(event["solver"]),
+                        "".join(encode(event["z"], 0)))
+                elif type(event) is _Broadcast:
+                    yield _BROADCAST_LINE % (event["delivered"], event["seq"])
+                elif event is not None:
+                    yield "".join(encode(event, 0)) + "\n"
 
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(lines())
@@ -259,7 +288,7 @@ class RunRecord:
         """Count a dispatch and log it as its row."""
         self.dispatches += 1
         self.solver_dispatches[solver] += 1
-        self.events.append((evaluator, solver, self.messages))
+        self.events.dispatch(evaluator, solver, self.messages)
 
     def improvement(self, evaluation) -> None:
         """An archive improvement: a trace row and an event."""

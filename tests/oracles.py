@@ -214,18 +214,20 @@ def evaluate_model_reference(problem, point, solver_id="", seq=-1):
 
 def logged_events(entries):
     """An ``EventLog`` of ``entries`` (dispatch rows as tuples
-    ``(evaluator, solver, messages)``, other events as dicts) and the list
-    of dicts ``_dispatch_idle`` once appended in its place."""
+    ``(evaluator, solver, messages)``, logged by ``dispatch``; other events
+    as dicts, by ``append``) and the list of dicts ``_dispatch_idle`` once
+    appended in its place."""
     log, expected, dispatches = EventLog(), [], 0
     for entry in entries:
-        log.append(entry)
         if isinstance(entry, tuple):
+            log.dispatch(*entry)
             dispatches += 1
             evaluator, solver, messages = entry
             expected.append({"event": "dispatch", "evaluator": evaluator,
                              "solver": solver, "messages": messages,
                              "dispatches": dispatches})
         else:
+            log.append(entry)
             expected.append(entry)
     return log, expected
 

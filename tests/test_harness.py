@@ -480,14 +480,15 @@ def test_archive_csv_round_trip(tmp_path):
 
 
 def test_events_log_lines_equal_json_dumps(tmp_path):
-    # Dicts are events as given; tuples are dispatch rows.
+    # Dicts are events as given; tuples are dispatch rows, their message
+    # counts machine integers (2**63 - 1 the largest the log holds).
     records = [
         {"event": "improvement", "solver": 'ga "small" \u00e9\u2603\\',
          "z": [1.5, -0.0, 1e-320, 1e300], "seq": 2**70},
         ("evaluator-0", 'ga "small" \u00e9\u2603\\', 7),
         {"values": [math.nan, math.inf, -math.inf], "nested": [[1, [None]],
          {"b": True, "a": False}], "label\n\u00fc": None},
-        ('ev\n"\\\t\u0000', "\U0001f600 \u00fc\r\n", 2**70),
+        ('ev\n"\\\t\u0000', "\U0001f600 \u00fc\r\n", 2**63 - 1),
         {},
         ("", "", 0),
         {"only": "ascii"},
@@ -504,8 +505,9 @@ def test_events_log_lines_equal_json_dumps(tmp_path):
         bad.write(tmp_path / "bad.log")
 
 
-def test_a_dispatch_event_costs_at_most_128_bytes():
-    """The log keeps a dispatch as a row, not as a 5-key dict (~250 B)."""
+def test_a_dispatch_event_costs_at_most_24_bytes():
+    """The log keeps a dispatch as two label indices and a count in
+    columns, not as a tuple row (~100 B) or a 5-key dict (~250 B)."""
     cfg = preset_config("hen-protocol", "ridge-basin-10",
                         budget=Budget.messages(6_000), seed=1)
     tracemalloc.start()
@@ -522,7 +524,7 @@ def test_a_dispatch_event_costs_at_most_128_bytes():
     finally:
         tracemalloc.stop()
     assert dispatches == report.counters["dispatches"] > 2_000
-    assert freed <= 128 * dispatches, freed / dispatches
+    assert freed <= 24 * dispatches, freed / dispatches
 
 
 # ---------------------------------------------------------------------- CLI

@@ -5,7 +5,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coopt.scheduler import P_MAX, Budget, EvaluationRequest, PriorityQueues
@@ -165,13 +165,24 @@ _JSON = st.recursive(
     | st.dictionaries(st.text(), inner, max_size=3),
     max_leaves=8)
 # A dispatch row (evaluator, solver, messages) or any other event, a dict.
+# A message count is a machine integer: the log holds [0, 2**63 - 1].
+_MESSAGES = st.integers(0, 2**63 - 1)
 _ENTRIES = st.lists(st.one_of(
-    st.tuples(st.text(), st.text(), st.integers(-2**70, 2**70)),
+    st.tuples(st.text(), st.text(), _MESSAGES),
     st.dictionaries(st.text(), _JSON, max_size=4)), max_size=25)
 
 
 @settings(deadline=None, max_examples=300)
 @given(entries=_ENTRIES)
+# Where rows and dict events meet: nothing, only rows, no rows, rows only
+# before the first or only after the last dict event, or both but none
+# between.
+@example(entries=[])
+@example(entries=[("e", "s", 0), ("f", "s", 2**63 - 1)])
+@example(entries=[{"a": 1}, {}])
+@example(entries=[("e", "s", 1), ("e", "t", 2), {"a": 1}, {}])
+@example(entries=[{}, {"a": 1}, ("e", "s", 3), ("f", "s", 4)])
+@example(entries=[("e", "s", 5), {}, {"a": 1}, ("e", "s", 6)])
 def test_event_log_reads_and_writes_as_a_list_of_dicts(
         entries, tmp_path_factory):
     """Rows mixed with dict events read as the dicts once logged: the same
@@ -186,4 +197,21 @@ def test_event_log_reads_and_writes_as_a_list_of_dicts(
     path = tmp_path_factory.getbasetemp() / "event-log-property.log"
     log.write(path)
     assert path.read_text(encoding="utf-8").split("\n") == [
+        json.dumps(e, sort_keys=True) for e in expected] + [""]
+
+
+def test_a_message_count_past_2_63_minus_1_raises_and_logs_nothing(tmp_path):
+    """The count column holds signed 64-bit integers: 2**63 raises
+    ``OverflowError`` rather than wrap, and the log is left as it was."""
+    log, expected = logged_events([("e", "s", 2**63 - 1), {"a": 1}])
+    with pytest.raises(OverflowError):
+        log.dispatch("e", "s", 2**63)
+    with pytest.raises(OverflowError):
+        log.dispatch("new", "labels", 2**70)
+    assert len(log) == 2 and list(log) == expected
+    log.dispatch("e", "s", 2**63 - 1)
+    expected.append(dict(expected[0], dispatches=2))
+    assert list(log) == expected
+    log.write(tmp_path / "events.log")
+    assert (tmp_path / "events.log").read_text().split("\n") == [
         json.dumps(e, sort_keys=True) for e in expected] + [""]
