@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 from typing import NoReturn, Optional
 
 from coopt.core import Evaluation, dominates, pareto_key
-from coopt.messaging import Mailbox, MailboxClosed, Message, MessageKind
+from coopt.messaging import (ANALYSESOLUTION, RETRIEVEBEST, Mailbox,
+                             MailboxClosed, Message)
 from coopt.scheduler import RunRecord
 
 SINGLE = "single"
@@ -163,15 +164,15 @@ async def analysis_loop(inbox: Mailbox, scheduler_inbox: Mailbox,
     """
     while True:
         message = await inbox.take()
-        if message.kind is MessageKind.ANALYSESOLUTION:
+        if message.kind is ANALYSESOLUTION:
             evaluation = message.content
             if update_archive(archive, evaluation):
                 try:
                     await scheduler_inbox.put(Message(
-                        MessageKind.ANALYSESOLUTION, "analysis", evaluation))
+                        ANALYSESOLUTION, "analysis", evaluation))
                 except MailboxClosed:
                     record.improvement(evaluation)
-        elif message.kind is MessageKind.RETRIEVEBEST:
+        elif message.kind is RETRIEVEBEST:
             reply = message.content
             if not reply.done():  # a cancelled scheduler no longer listens
                 reply.set_result(archive)

@@ -12,7 +12,7 @@ import asyncio
 from typing import Iterator, NoReturn
 
 from coopt.core import Problem, evaluate_model
-from coopt.messaging import Mailbox, Message, MessageKind
+from coopt.messaging import ANALYSESOLUTION, REQUESTPOINT, Mailbox, Message
 
 
 async def evaluator_loop(problem: Problem, scheduler_inbox: Mailbox,
@@ -25,10 +25,12 @@ async def evaluator_loop(problem: Problem, scheduler_inbox: Mailbox,
     evaluations globally in completion order.
     """
     evaluator_id = record["evaluator"]
+    create_future = asyncio.get_running_loop().create_future
+    requestpoint, analysesolution = REQUESTPOINT, ANALYSESOLUTION
     while True:
-        dispatch = asyncio.get_running_loop().create_future()
+        dispatch = create_future()
         await scheduler_inbox.put(
-            Message(MessageKind.REQUESTPOINT, evaluator_id, dispatch))
+            Message(requestpoint, evaluator_id, dispatch))
         record["requests"] += 1
         request = await dispatch
         evaluation = evaluate_model(problem, request.point,
@@ -39,5 +41,5 @@ async def evaluator_loop(problem: Problem, scheduler_inbox: Mailbox,
             request.reply.set_result(evaluation)
             record["replies_delivered"] += 1
         await analysis_inbox.put(
-            Message(MessageKind.ANALYSESOLUTION, evaluator_id, evaluation))
+            Message(analysesolution, evaluator_id, evaluation))
         record["analysis_sent"] += 1

@@ -116,7 +116,9 @@ class RunReport:
 
     ``events`` is the run's ``EventLog``: reading it gives every event as
     a dict, a dispatch's built from its row when read, and its ``write``
-    renders events.log.
+    renders events.log.  ``improvements`` are the record's improvement
+    events, the same dicts the log holds, so the report keeps each once;
+    ``trace`` builds trace.csv's rows from them when it is read.
     """
 
     problem: str
@@ -124,7 +126,8 @@ class RunReport:
     rep_index: int
     sharing: bool
     archive: Optional[Archive]  # None if the run was aborted
-    trace: list[dict]
+    improvements: list[dict]  # RunRecord.improvements
+    solver_classes: dict[str, str]  # solver label -> "MH" or "DS"
     per_solver_evaluations: dict[str, int]
     counters: dict
     metrics_row: Optional[dict]
@@ -132,6 +135,15 @@ class RunReport:
     valid: bool
     error: str
     events: EventLog
+
+    @property
+    def trace(self) -> list[dict]:
+        """One row per archive improvement, in arrival order."""
+        classes = self.solver_classes
+        return [{"seq": e["seq"], "messages": e["messages"],
+                 "dispatches": e["dispatches"], "z": e["z"],
+                 "instance_label": e["solver"], "class": classes[e["solver"]]}
+                for e in self.improvements]
 
     def best_value(self) -> Optional[float]:
         if self.archive is None or self.archive.best is None:
@@ -487,17 +499,7 @@ def run_once(cfg: RunConfig, rep_index: int) -> RunReport:
     return RunReport(
         problem=cfg.problem, mode=mode, rep_index=rep_index,
         sharing=cfg.sharing, archive=archive,
-        trace=[
-            {
-                "seq": e["seq"],
-                "messages": e["messages"],
-                "dispatches": e["dispatches"],
-                "z": e["z"],
-                "instance_label": e["solver"],
-                "class": classes[e["solver"]],
-            }
-            for e in record.improvements
-        ],
+        improvements=record.improvements, solver_classes=classes,
         per_solver_evaluations=dict(record.solver_dispatches),
         counters=record.counters(), metrics_row=metrics_row,
         wall_time=wall_time, valid=not errors,
@@ -652,7 +654,8 @@ def write_run_dir(run_dir, report: RunReport) -> Path:
     """
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    z_arrays = _write_trace_csv(run_dir / "trace.csv", report.trace)
+    trace = report.trace
+    z_arrays = _write_trace_csv(run_dir / "trace.csv", trace)
     report.events.write(run_dir / "events.log")
     members = report.archive.members() if report.archive else []
     header, rows = _archive_table([
@@ -676,7 +679,7 @@ def write_run_dir(run_dir, report: RunReport) -> Path:
         "trace": (_TRACE_ITEM % (
             encode_basestring_ascii(row["class"]), row["dispatches"],
             encode_basestring_ascii(row["instance_label"]), row["messages"],
-            row["seq"], z) for row, z in zip(report.trace, z_arrays)),
+            row["seq"], z) for row, z in zip(trace, z_arrays)),
         "archive": (_MEMBER_ITEM % (
             _json_float(cells[-3]), _json_floats(cells[len(m.point):-3]),
             _json_floats(cells[:len(m.point)]), m.seq,

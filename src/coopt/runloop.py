@@ -7,9 +7,16 @@ callback on the way.  ``RunLoop`` keeps the FIFO and drops the rest:
 one ``_run_once`` pops and runs them in that order until the loop is
 stopped.  So the interleaving, and every byte a run writes, stays the same.
 
+asyncio's C ``Future`` calls ``loop.get_debug()`` for each future it
+builds, and a hen run builds ~90k of them.  So ``create_future`` and
+``get_debug`` are answered by C callables, not Python methods: a
+``functools.partial`` of ``Future`` bound to the loop, and the
+``__next__`` of an ``itertools.repeat`` of the debug flag, renewed by
+each ``set_debug``.  The partial holds the loop, so ``close`` drops it.
+
 The rest is ``asyncio.BaseEventLoop``'s: ``run_until_complete`` and its
-guards, ``close``, asyncio's C ``Future`` and ``Task``, the async-generator
-hooks, and the exception handler that logs to the ``asyncio`` logger.  The
+guards, asyncio's C ``Future`` and ``Task``, the async-generator hooks,
+and the exception handler that logs to the ``asyncio`` logger.  The
 loop relies on four private names, alike on Python 3.11 to 3.13: the
 ``_run_once`` step it replaces, the ``_ready`` deque, the ``_stopping`` flag
 set once ``run_until_complete``'s future is done, and ``_thread_id``.
@@ -23,6 +30,8 @@ from __future__ import annotations
 
 import asyncio
 import contextvars
+import functools
+import itertools
 import threading
 
 
@@ -32,6 +41,20 @@ class Stalled(RuntimeError):
 
 class RunLoop(asyncio.BaseEventLoop):
     """A FIFO of ready callbacks, run until one future is done."""
+
+    def __init__(self):
+        super().__init__()
+        self.create_future = functools.partial(asyncio.Future, loop=self)
+
+    def set_debug(self, enabled):
+        super().set_debug(enabled)
+        self.get_debug = itertools.repeat(enabled).__next__
+
+    def close(self):
+        super().close()
+        # Break the loop -> partial -> loop cycle: the class's
+        # create_future answers from here on.
+        self.__dict__.pop("create_future", None)
 
     def call_soon(self, callback, *args, context=None):
         # No Handle is returned: nothing in a run cancels a callback.

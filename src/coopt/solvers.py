@@ -27,7 +27,7 @@ from typing import NoReturn, Optional
 import numpy as np
 
 from coopt.core import Domain, Evaluation, dominates, freeze_point, pareto_key
-from coopt.messaging import Mailbox, Message, MessageKind
+from coopt.messaging import EVALUATEPOINT, Mailbox, Message
 from coopt.scheduler import P_MAX, EvaluationRequest, RunRecord
 
 CROSSOVER_RATE = 0.9
@@ -93,7 +93,7 @@ async def proxy_objective(point: np.ndarray, solver_id: str,
     reply = asyncio.get_running_loop().create_future()
     request = EvaluationRequest(freeze_point(point), reply, solver_id, priority)
     await scheduler_inbox.put(
-        Message(MessageKind.EVALUATEPOINT, solver_id, request))
+        Message(EVALUATEPOINT, solver_id, request))
     return await reply
 
 
@@ -198,14 +198,18 @@ def _mutation_noise(sigma: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return 0.0 + sigma * rng.standard_normal(sigma.size)
 
 
-def _runner_offset(low: np.ndarray, span: np.ndarray,
-                   rng: np.random.Generator) -> np.ndarray:
-    """``rng.uniform(low, high)`` with ``span = high - low``, bit for bit.
+def _runner_offsets(low: np.ndarray, span: np.ndarray, n_runners: int,
+                    rng: np.random.Generator) -> np.ndarray:
+    """``rng.uniform(low, high)`` for each of ``n_runners`` runners, one row
+    each, with ``span = high - low``, bit for bit.
 
-    numpy computes each uniform draw as ``low + (high - low) * random``; the
-    span is computed once per parent here, not once per runner.
+    numpy computes each uniform draw as ``low + (high - low) * random``.
+    One ``random((n_runners, n))`` block reads the doubles that
+    ``n_runners`` calls of ``random(n)`` read, in the same order, so the
+    span is computed once per parent and the offsets in one array
+    operation, not once per runner.
     """
-    return low + span * rng.random(low.size)
+    return low + span * rng.random((n_runners, low.size))
 
 
 def _tournament(pool, fitness: list[float], rng) -> Evaluation:
@@ -240,10 +244,12 @@ async def ppa_step(members: list[Evaluation], cfg: SolverConfig,
         n_runners = math.ceil(f * PPA_MAX_RUNNERS)
         reach = (1.0 - f) * domain.ranges
         low = -reach
-        span = reach - low
-        for _ in range(n_runners):
-            runner = domain.clip(parent.point + _runner_offset(low, span, rng))
-            offspring.append(await evaluate(runner))
+        runners = parent.point + _runner_offsets(low, reach - low, n_runners,
+                                                 rng)
+        # Row by row: ``Domain.clip`` rounds the integer dimensions of one
+        # point.
+        for runner in runners:
+            offspring.append(await evaluate(domain.clip(runner)))
     combined = selected + offspring
     return [combined[i] for i in _layer_order(combined)[:2 * cfg.size_param]]
 
@@ -522,18 +528,18 @@ async def solver_loop(cfg: SolverConfig, seed: int, domain: Domain,
     ends by ``MailboxClosed``, its normal end, when the shutdown reaches it.
     """
     solver_class, step, start = SOLVER_KINDS[cfg.kind]
+    label, priority = cfg.label, cfg.priority
     rng = np.random.default_rng(seed)
     local_best: Optional[Evaluation] = None
 
     async def evaluate(point) -> Evaluation:
         nonlocal local_best
         evaluation = await proxy_objective(
-            point, cfg.label, scheduler_inbox, cfg.priority)
+            point, label, scheduler_inbox, priority)
         if len(evaluation.objectives) == 1 and not evaluation.failed:
             if local_best is None or dominates(evaluation, local_best):
                 local_best = evaluation
-                record.solver_improvement(cfg.label, solver_class,
-                                          evaluation)
+                record.solver_improvement(label, solver_class, evaluation)
         return evaluation
 
     async def obj(point) -> float:

@@ -34,6 +34,35 @@ def level_of(queues, request):
     raise LookupError("request not queued")
 
 
+class PriorityQueuesReference:
+    """``PriorityQueues`` as first written: lists per level, the length
+    summed over them, and the full promotion sweep after every dispatch."""
+
+    def __init__(self):
+        self.levels = [[] for _ in range(P_MAX + 1)]
+
+    def __len__(self):
+        return sum(map(len, self.levels))
+
+    def enqueue(self, request):
+        self.levels[request.priority_at_enqueue].append(request)
+
+    def next_request(self):
+        for p in range(P_MAX, 0, -1):
+            if self.levels[p]:
+                request = self.levels[p].pop(0)
+                for q in range(P_MAX - 1, 0, -1):
+                    if self.levels[q]:
+                        self.levels[q + 1].append(self.levels[q].pop(0))
+                return request
+        return None
+
+    def drain(self):
+        drained = [r for p in range(P_MAX + 1) for r in self.levels[p]]
+        self.levels = [[] for _ in range(P_MAX + 1)]
+        return drained
+
+
 def clip_reference(domain, values):
     """``Domain.clip`` as first written: ``np.clip``, then integer rounding."""
     out = np.clip(np.asarray(values, dtype=float), domain.lower, domain.upper)

@@ -15,6 +15,7 @@ import gc
 import logging
 import signal
 import sys
+import weakref
 
 import pytest
 
@@ -153,6 +154,56 @@ def test_callbacks_run_in_asyncio_order():
         return order
 
     assert runloop.run(main()) == asyncio.run(main())
+
+
+def test_create_future_makes_a_future_of_the_running_loop():
+    async def main():
+        loop = asyncio.get_running_loop()
+        future = loop.create_future()
+        assert isinstance(future, asyncio.Future)
+        assert future.get_loop() is loop
+        loop.call_soon(future.set_result, 7)
+        return await future
+
+    assert runloop.run(main()) == 7
+
+
+def test_futures_record_their_source_only_in_debug_mode():
+    # The loop starts in asyncio debug mode under -X dev and
+    # PYTHONASYNCIODEBUG; set_debug flips it inside the run.
+    async def main():
+        loop = asyncio.get_running_loop()
+        seen = []
+        for flag in (None, True, False, True):
+            if flag is not None:
+                loop.set_debug(flag)
+            traceback = loop.create_future()._source_traceback
+            seen.append((flag, loop.get_debug(), traceback is not None))
+        return seen
+
+    seen = runloop.run(main())
+    assert [debug == recorded for _flag, debug, recorded in seen] == [True] * 4
+    assert [debug for flag, debug, _ in seen[1:]] == [True, False, True]
+
+
+def test_a_closed_loop_is_freed_without_the_collector():
+    # create_future holds the loop; close must break that cycle, so a
+    # closed loop goes as soon as its last reference does.
+    async def main():
+        return weakref.ref(asyncio.get_running_loop())
+
+    gc.collect()
+    gc.disable()
+    try:
+        loop = RunLoop()
+        loop.create_future()
+        freed = weakref.ref(loop)
+        loop.close()
+        del loop
+        assert freed() is None
+        assert runloop.run(main())() is None
+    finally:
+        gc.enable()
 
 
 def test_stall_raises_instead_of_hanging():

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coopt.scheduler import P_MAX, Budget, EvaluationRequest, PriorityQueues
-from oracles import level, level_of, logged_events
+from oracles import PriorityQueuesReference, level, level_of, logged_events
 
 
 def req(solver="s", priority=1):
@@ -69,6 +69,30 @@ def test_next_request_promotes_remaining_heads():
 
 def test_next_request_on_empty_returns_none():
     assert PriorityQueues().next_request() is None
+
+
+# A step: enqueue at a priority, dispatch (None), or drain ("drain").
+QUEUE_STEP = st.one_of(st.integers(1, P_MAX), st.none(), st.just("drain"))
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.lists(QUEUE_STEP, max_size=120))
+def test_queues_match_the_full_sweep_reference(steps):
+    # The queues keep a count and skip the sweep once a dispatch empties
+    # them; the reference sweeps after every dispatch and sums the levels.
+    queues, reference = PriorityQueues(), PriorityQueuesReference()
+    for i, step in enumerate(steps):
+        if step is None:
+            assert queues.next_request() is reference.next_request()
+        elif step == "drain":
+            assert list(queues.drain()) == reference.drain()
+        else:
+            request = req(f"r{i}", priority=step)
+            queues.enqueue(request)
+            reference.enqueue(request)
+        assert len(queues) == len(reference)
+        assert [level(queues, p) for p in range(1, P_MAX + 1)] \
+            == [tuple(reference.levels[p]) for p in range(1, P_MAX + 1)]
 
 
 def test_promotion_sweep_is_high_to_low():

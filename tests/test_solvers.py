@@ -12,6 +12,7 @@ from coopt.core import Domain, Evaluation, VarKind, freeze_point, uniform_box
 from coopt.messaging import Mailbox, MailboxClosed, Message, MessageKind
 from coopt.solvers import (
     INFEASIBILITY_PENALTY,
+    PPA_MAX_RUNNERS,
     SOLVER_KINDS,
     SolverConfig,
     SwarmMember,
@@ -30,7 +31,7 @@ from coopt.solvers import (
     sd_step,
     solver_loop,
     _mutation_noise,
-    _runner_offset,
+    _runner_offsets,
     _tournament,
 )
 from oracles import (
@@ -306,9 +307,11 @@ def test_ga_children_respect_bounds_and_integer_dims():
 SCALE = st.one_of(st.sampled_from([0.0, 5e-324, 1e300]),
                   st.floats(1e-300, 1e300))
 # numpy's normal and uniform refuse a -0.0 scale; see the test after this.
+# A runner step draws one parent's block of runners: its row count is last.
 RNG_STEP = st.one_of(
-    st.tuples(st.sampled_from(["noise", "runner"]),
-              st.lists(SCALE, min_size=1, max_size=12)),
+    st.tuples(st.just("noise"), st.lists(SCALE, min_size=1, max_size=12)),
+    st.tuples(st.just("runner"), st.lists(SCALE, min_size=1, max_size=12),
+              st.integers(1, PPA_MAX_RUNNERS)),
     st.tuples(st.just("tournament"), st.integers(1, 200)))
 
 
@@ -327,7 +330,7 @@ def _tournament_picks(tournament, n, rng):
 
 
 def _rng_step(step, rng, reference):
-    kind, arg = step
+    kind, arg, *n_runners = step
     if kind == "tournament":
         return _tournament_picks(
             tournament_reference if reference else _tournament, arg, rng)
@@ -336,9 +339,11 @@ def _rng_step(step, rng, reference):
         return (mutation_noise_reference(scale, rng) if reference
                 else _mutation_noise(scale, rng))
     low = -scale
-    if reference:
-        return runner_offset_reference(low, scale, rng)
-    return _runner_offset(low, scale - low, rng)
+    (n_runners,) = n_runners
+    if reference:  # one uniform call per runner, in order
+        return np.array([runner_offset_reference(low, scale, rng)
+                         for _ in range(n_runners)])
+    return _runner_offsets(low, scale - low, n_runners, rng)
 
 
 @settings(deadline=None, max_examples=300)
@@ -352,19 +357,22 @@ def test_operator_draws_match_the_numpy_calls_they_replace(seed, steps):
         assert new.bit_generator.state == old.bit_generator.state
 
 
-@pytest.mark.parametrize("kind", ["noise", "runner"])
-def test_a_negative_zero_scale_draws_as_positive_zero(kind):
+@pytest.mark.parametrize("kind, rows", [("noise", ()), ("runner", (3,))],
+                         ids=["noise", "runner"])
+def test_a_negative_zero_scale_draws_as_positive_zero(kind, rows):
     # A flat dimension bounded by +0.0 below and -0.0 above has range -0.0.
     # There numpy's normal raises "scale < 0" and uniform "high - low < 0";
     # the rewrites draw what numpy draws at +0.0.
     flat = Domain(np.array([0.0, -1.0]), np.array([-0.0, 1.0]))
     assert np.signbit(flat.ranges[0])
     with pytest.raises(ValueError):
-        _rng_step((kind, flat.ranges.tolist()), np.random.default_rng(0), True)
+        _rng_step((kind, flat.ranges.tolist(), *rows),
+                  np.random.default_rng(0), True)
     new, old = np.random.default_rng(4), np.random.default_rng(4)
-    got = _rng_step((kind, [-0.0] * 5), new, False)
-    assert got.tobytes() == _rng_step((kind, [0.0] * 5), old, True).tobytes()
-    assert got.tobytes() == np.zeros(5).tobytes()
+    got = _rng_step((kind, [-0.0] * 5, *rows), new, False)
+    assert got.tobytes() \
+        == _rng_step((kind, [0.0] * 5, *rows), old, True).tobytes()
+    assert got.tobytes() == np.zeros(5 * math.prod(rows)).tobytes()
     assert new.bit_generator.state == old.bit_generator.state
 
 

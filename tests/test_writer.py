@@ -85,15 +85,11 @@ def reports(draw):
             archive._front.update(dict.fromkeys(members))
 
     classes = {label: draw(LABELS) for label in labels}
-    trace = [{"seq": e["seq"], "messages": e["messages"],
-              "dispatches": e["dispatches"],
-              "z": e["z"],
-              "instance_label": e["solver"], "class": classes[e["solver"]]}
-             for e in record.improvements]
     return RunReport(
         problem=draw(LABELS), mode=draw(LABELS),
         rep_index=draw(st.integers(0, 99)), sharing=draw(st.booleans()),
-        archive=archive, trace=trace,
+        archive=archive, improvements=record.improvements,
+        solver_classes=classes,
         per_solver_evaluations=dict(record.solver_dispatches),
         counters=record.counters(),
         metrics_row=draw(st.none() | st.dictionaries(LABELS, FLOATS,
@@ -129,9 +125,7 @@ def test_float_texts_cover_every_spelling():
     archive._front[member] = None
     report = RunReport(
         problem="p", mode="m", rep_index=0, sharing=True, archive=archive,
-        trace=[{"seq": 1, "messages": 0, "dispatches": 0,
-                "z": record.improvements[0]["z"], "instance_label": "s",
-                "class": "GA"}],
+        improvements=record.improvements, solver_classes={"s": "GA"},
         per_solver_evaluations={}, counters=record.counters(),
         metrics_row=None, wall_time=np.float64(0.5), valid=True, error="",
         events=record.events)
