@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 from typing import NoReturn, Optional
 
 from coopt.core import Evaluation, dominates, pareto_key
-from coopt.messaging import (ANALYSESOLUTION, RETRIEVEBEST, Mailbox,
-                             MailboxClosed, Message)
+from coopt.messaging import (ANALYSESOLUTION, Mailbox, MailboxClosed,
+                             Message, MessageKind)
 from coopt.scheduler import RunRecord
 
 SINGLE = "single"
@@ -172,7 +172,7 @@ async def analysis_loop(inbox: Mailbox, scheduler_inbox: Mailbox,
                         ANALYSESOLUTION, "analysis", evaluation))
                 except MailboxClosed:
                     record.improvement(evaluation)
-        elif message.kind is RETRIEVEBEST:
+        elif message.kind is MessageKind.RETRIEVEBEST:
             reply = message.content
             if not reply.done():  # a cancelled scheduler no longer listens
                 reply.set_result(archive)

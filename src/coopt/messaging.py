@@ -28,16 +28,14 @@ class MessageKind(Enum):
     STATISTICSBEST = "STATISTICSBEST"     # the final archive (scheduler's reply future)
 
 
-# The kinds as module names, bound once: on Python 3.11 reading
-# ``MessageKind.EVALUATEPOINT`` costs ~0.19 us, a global ~0.04 us, and
-# each evaluation's round trip reads seven kinds.  The agents use these.
+# The three kinds every evaluation's round trip reads, bound to module
+# names once: on Python 3.11 reading ``MessageKind.EVALUATEPOINT`` costs
+# ~0.19 us, a global ~0.04 us.  A round trip reads them up to seven times:
+# in ``proxy_objective``, twice in the evaluator, up to three times in the
+# scheduler's ``_handle`` and once in the analysis agent.
 ANALYSESOLUTION = MessageKind.ANALYSESOLUTION
 EVALUATEPOINT = MessageKind.EVALUATEPOINT
-OBJECTIVEVALUE = MessageKind.OBJECTIVEVALUE
 REQUESTPOINT = MessageKind.REQUESTPOINT
-RETRIEVEBEST = MessageKind.RETRIEVEBEST
-SHAREBEST = MessageKind.SHAREBEST
-STATISTICSBEST = MessageKind.STATISTICSBEST
 
 
 class Message(NamedTuple):

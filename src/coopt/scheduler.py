@@ -19,8 +19,7 @@ from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, NamedTuple, Optional
 
 from coopt.messaging import (ANALYSESOLUTION, EVALUATEPOINT, REQUESTPOINT,
-                             RETRIEVEBEST, SHAREBEST, Mailbox, MailboxClosed,
-                             Message)
+                             Mailbox, MailboxClosed, Message, MessageKind)
 
 P_MAX = 10
 
@@ -42,9 +41,7 @@ class PriorityQueues:
     request climbs at most one level per dispatch).  A request entering at
     the bottom therefore reaches the top level after P_MAX - 1 promotions,
     which rules out starvation; with every producer on one priority level
-    the dispatch order degenerates to plain FIFO.  A count of the queued
-    requests lets a dispatch that empties the queues skip the sweep, which
-    would find nothing to promote.
+    the dispatch order degenerates to plain FIFO.
     """
 
     def __init__(self):
@@ -53,17 +50,18 @@ class PriorityQueues:
         # promotion sweep visits, top down; built once, not per dispatch.
         self._top_down = self._levels[:0:-1]
         self._promotions = list(zip(self._top_down, self._top_down[1:]))
-        self._count = 0
 
     def __len__(self) -> int:
-        """Requests queued over all levels."""
-        return self._count
+        """Requests queued over all levels.
+
+        The scheduler never asks; ``bench/micro.py`` and the tests do.
+        """
+        return sum(len(level) for level in self._levels)
 
     def enqueue(self, request: EvaluationRequest) -> None:
         if not 1 <= request.priority_at_enqueue <= P_MAX:
             raise ValueError(f"priority outside [1, {P_MAX}]")
         self._levels[request.priority_at_enqueue].append(request)
-        self._count += 1
 
     def promote(self) -> None:
         """Lift the head of each level below the top up one level."""
@@ -73,21 +71,17 @@ class PriorityQueues:
 
     def next_request(self) -> Optional[EvaluationRequest]:
         """Pop the head of the highest non-empty level, then promote."""
-        if not self._count:
-            return None
-        self._count -= 1
         for level in self._top_down:
             if level:
                 request = level.popleft()
-                if self._count:
-                    self.promote()
+                self.promote()
                 return request
+        return None
 
     def drain(self):
         """Remove and yield every queued request (teardown)."""
         for level in self._levels:
             while level:
-                self._count -= 1
                 yield level.popleft()
 
 
@@ -372,16 +366,18 @@ async def scheduler_loop(state: SchedulerState) -> Any:
     requests are refused during shutdown).  Unlike the other agents, the
     scheduler's one normal end is to return.
     """
-    record, inbox = state.record, state.inbox
-    by_messages = state.budget.kind == "messages"
-    limit = state.budget.limit
-    while (record.messages if by_messages else record.dispatches) < limit:
-        message = await inbox.take()
-        record.messages += 1
+    while not _exhausted(state):
+        message = await state.inbox.take()
+        state.record.messages += 1
         _handle(state, message)
-        if state.idle:
-            _dispatch_idle(state)
+        _dispatch_idle(state)
     return await _shutdown(state)
+
+
+def _exhausted(state: SchedulerState) -> bool:
+    if state.budget.kind == "messages":
+        return state.record.messages >= state.budget.limit
+    return state.record.dispatches >= state.budget.limit
 
 
 def _handle(state: SchedulerState, message: Message) -> None:
@@ -401,7 +397,7 @@ def _handle(state: SchedulerState, message: Message) -> None:
 
 
 def _broadcast(state: SchedulerState, evaluation) -> None:
-    message = Message(SHAREBEST, "scheduler", evaluation)
+    message = Message(MessageKind.SHAREBEST, "scheduler", evaluation)
     # No ring is closed yet: ``_shutdown`` stops sharing before closing them.
     for share_mb in state.share_mailboxes.values():
         share_mb.put_drop_oldest(message)
@@ -409,10 +405,8 @@ def _broadcast(state: SchedulerState, evaluation) -> None:
 
 
 def _dispatch_idle(state: SchedulerState) -> None:
-    record = state.record
-    limit = state.budget.limit if state.budget.kind == "evaluations" else None
     while state.idle:
-        if limit is not None and record.dispatches >= limit:
+        if state.budget.kind == "evaluations" and _exhausted(state):
             return
         request = state.queues.next_request()
         if request is None:
@@ -420,7 +414,7 @@ def _dispatch_idle(state: SchedulerState) -> None:
         announcement = state.idle.popleft()
         announcement.content.set_result(request)
         state.busy.add(announcement.sender)
-        record.dispatch(announcement.sender, request.solver_id)
+        state.record.dispatch(announcement.sender, request.solver_id)
 
 
 def _refuse(state: SchedulerState, request: EvaluationRequest) -> None:
@@ -432,7 +426,7 @@ def _refuse(state: SchedulerState, request: EvaluationRequest) -> None:
 def _settle(state: SchedulerState, message: Message) -> None:
     """Count a message taken during shutdown; refuse it if it asks for work."""
     state.record.messages += 1
-    if message.kind is EVALUATEPOINT:
+    if message.kind is MessageKind.EVALUATEPOINT:
         _refuse(state, message.content)
     else:
         _handle(state, message)
@@ -469,7 +463,7 @@ async def _shutdown(state: SchedulerState) -> Any:
 
     reply = asyncio.get_running_loop().create_future()
     await state.analysis_inbox.put(
-        Message(RETRIEVEBEST, "scheduler", reply))
+        Message(MessageKind.RETRIEVEBEST, "scheduler", reply))
     archive = await reply
     state.analysis_inbox.close()
     state.record.terminated()

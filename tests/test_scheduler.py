@@ -78,8 +78,8 @@ QUEUE_STEP = st.one_of(st.integers(1, P_MAX), st.none(), st.just("drain"))
 @settings(deadline=None, max_examples=500)
 @given(st.lists(QUEUE_STEP, max_size=120))
 def test_queues_match_the_full_sweep_reference(steps):
-    # The queues keep a count and skip the sweep once a dispatch empties
-    # them; the reference sweeps after every dispatch and sums the levels.
+    # The queues sweep prebuilt pairs of deques; the reference writes the
+    # sweep out over lists of levels.  Order, levels and len() must agree.
     queues, reference = PriorityQueues(), PriorityQueuesReference()
     for i, step in enumerate(steps):
         if step is None:
