@@ -160,7 +160,7 @@ def full_run():
     print(f"best of the run: f = {best.objectives[0]:.6f} at "
           f"{np.round(best.point, 4).tolist()} (found by {best.solver_id})")
     print("improvement history:",
-          [f"{e['z'][0]:.3f}" for e in record.improvements])
+          [f"{e['z'][0]:.3f}" for e in record.events.improvements()])
 
     print("\nper-mailbox ledger (puts == takes + drops + queued):")
     for s in (e for e in events if e["event"] == "mailbox"):

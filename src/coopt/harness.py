@@ -115,10 +115,9 @@ class RunReport:
     """Outcome of one run: archive, improvement trace, counters, metrics.
 
     ``events`` is the run's ``EventLog``: reading it gives every event as
-    a dict, a dispatch's built from its row when read, and its ``write``
-    renders events.log.  ``improvements`` are the record's improvement
-    events, the same dicts the log holds, so the report keeps each once;
-    ``trace`` builds trace.csv's rows from them when it is read.
+    a dict, a row's built when read, and its ``write`` renders events.log.
+    ``trace`` builds trace.csv's rows from the log's improvement rows when
+    it is read.
     """
 
     problem: str
@@ -126,7 +125,6 @@ class RunReport:
     rep_index: int
     sharing: bool
     archive: Optional[Archive]  # None if the run was aborted
-    improvements: list[dict]  # RunRecord.improvements
     solver_classes: dict[str, str]  # solver label -> "MH" or "DS"
     per_solver_evaluations: dict[str, int]
     counters: dict
@@ -143,7 +141,7 @@ class RunReport:
         return [{"seq": e["seq"], "messages": e["messages"],
                  "dispatches": e["dispatches"], "z": e["z"],
                  "instance_label": e["solver"], "class": classes[e["solver"]]}
-                for e in self.improvements]
+                for e in self.events.improvements()]
 
     def best_value(self) -> Optional[float]:
         if self.archive is None or self.archive.best is None:
@@ -499,7 +497,7 @@ def run_once(cfg: RunConfig, rep_index: int) -> RunReport:
     return RunReport(
         problem=cfg.problem, mode=mode, rep_index=rep_index,
         sharing=cfg.sharing, archive=archive,
-        improvements=record.improvements, solver_classes=classes,
+        solver_classes=classes,
         per_solver_evaluations=dict(record.solver_dispatches),
         counters=record.counters(), metrics_row=metrics_row,
         wall_time=wall_time, valid=not errors,

@@ -22,14 +22,17 @@ def _as_points(points) -> np.ndarray:
 
 
 def _staircase(points: np.ndarray) -> np.ndarray:
-    """Non-dominated staircase sorted by z1 ascending (minimization)."""
-    order = np.lexsort((points[:, 1], points[:, 0]))
-    stairs: list[np.ndarray] = []
-    for p in points[order]:
-        # Sorted by (z1, z2): a lower z2 than the last step means a larger z1.
-        if not stairs or p[1] < stairs[-1][1]:
-            stairs.append(p)
-    return np.array(stairs)
+    """Non-dominated staircase sorted by z1 ascending (minimization).
+
+    Sorted by (z1, z2), a point is a step when its z2 is below every
+    earlier z2; a tie or a duplicate is not.  The points hold no NaN:
+    ``hypervolume`` keeps only the points within its reference.
+    """
+    stairs = points[np.lexsort((points[:, 1], points[:, 0]))]
+    z2 = stairs[:, 1]
+    step = np.ones(len(stairs), dtype=bool)
+    step[1:] = z2[1:] < np.minimum.accumulate(z2)[:-1]
+    return stairs[step]
 
 
 def hypervolume(points, reference) -> float:
@@ -54,8 +57,11 @@ def hypervolume_complement(points, reference) -> float:
     Lower is better under this convention; for non-negative objectives it
     is exactly box area minus ``hypervolume``.
     """
-    ref = np.asarray(reference, dtype=float)
-    return float(np.prod(ref)) - hypervolume(points, reference)
+    return _complement(hypervolume(points, reference), reference)
+
+
+def _complement(hv: float, reference) -> float:
+    return float(np.prod(np.asarray(reference, dtype=float))) - hv
 
 
 def area_trapezoid(points) -> float:
@@ -80,7 +86,7 @@ def average_distance(points, utopia) -> float:
 
 
 # Point-front pairs in one block of ``generational_distance``.
-_GD_BLOCK_PAIRS = 1 << 16
+_GD_BLOCK_PAIRS = 1 << 14
 
 
 def generational_distance(points, true_front) -> float:
@@ -134,7 +140,9 @@ def front_measures(points, reference=None, utopia=None,
     """Every measure in ``MEASURES`` whose input is not None, in that order.
 
     Points with other than two objectives get only the point count, since
-    the other measures are bi-objective.
+    the other measures are bi-objective.  The hypervolume is computed once:
+    its complement is the reference box's area less it, as
+    ``hypervolume_complement`` gives it.
     """
     if np.shape(points)[1:] != (2,):
         return {"non-dominated points": _count(points)}
@@ -143,6 +151,9 @@ def front_measures(points, reference=None, utopia=None,
     for name, (measure, needs) in MEASURES.items():
         if needs is None:
             row[name] = measure(points)
+        elif measure is hypervolume_complement and reference is not None:
+            # "hypervolume" comes first in the table, with this input.
+            row[name] = _complement(row["hypervolume"], reference)
         elif inputs[needs] is not None:
             row[name] = measure(points, inputs[needs])
     return row

@@ -14,8 +14,9 @@ import json
 from array import array
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from itertools import count, islice
+from itertools import count
 from json.encoder import c_make_encoder, encode_basestring_ascii
+from operator import call
 from typing import Any, NamedTuple, Optional
 
 from coopt.messaging import (ANALYSESOLUTION, EVALUATEPOINT, REQUESTPOINT,
@@ -107,80 +108,186 @@ class Budget:
         return cls("evaluations", limit)
 
 
+# The code of each kind of event in ``EventLog``'s kind column.  The first
+# is every event that the log keeps as its dict.
+_DICT, _DISPATCH, _IMPROVEMENT, _BROADCAST, _SOLVER_BEST = range(5)
+
+
+class _Table:
+    """The rows of one kind of event, as columns.
+
+    A row's integers go in ``ints`` (signed 64-bit machine integers) and
+    its labels, as label-table indices, in ``ids`` (32-bit unsigned: the
+    solver count has no bound), the same number of each in every row of a
+    kind.  A kind with floats puts a row's floats, any number of them, in
+    ``floats`` (doubles), and ``ends`` holds where each row's floats end.
+    """
+
+    __slots__ = ("ints", "ids", "floats", "ends")
+
+    def __init__(self):
+        self.ints, self.ids = array("q"), array("I")
+        self.floats, self.ends = array("d"), array("I")
+
+    def add(self, ints, ids, floats=None) -> None:
+        """Append a row.  The numbers are converted first: one that its
+        column cannot hold raises before any column grows."""
+        ints = array("q", ints)
+        if floats is not None:
+            floats = array("d", floats)
+            self.floats += floats
+            self.ends.append(len(self.floats))
+        self.ints += ints
+        self.ids.extend(ids)
+
+    def spans(self):
+        """Each row's floats, as a list."""
+        start = 0
+        for end in self.ends:
+            yield self.floats[start:end].tolist()
+            start = end
+
+
 class EventLog:
     """A run's event log: every event, in order, read as dicts.
 
-    A hen run logs ~30k ``dispatch`` events, so the log keeps them as
-    columns, ~17 B a row where a tuple row took ~100 B and a 5-key dict
-    ~250 B: each label is kept once in a label table, and a row is its
-    evaluator's and solver's label indices (32-bit unsigned: the solver
-    count has no bound) and its message count (a signed 64-bit machine
-    integer, so ``dispatch`` raises ``OverflowError`` from 2**63 on).  A
-    row stores no ``dispatches`` value: ``RunRecord.dispatch`` logs each
-    dispatch right after counting it, so that value is the row's ordinal.
-    Every other event is kept as the dict given to ``append``, with the
-    number of rows logged before it; iteration and ``write`` merge the
-    two in order.  Iteration builds a dispatch's dict when it is read;
-    ``write`` renders the rows without building it.
+    The log keeps the kind of every event in order, one byte an event.
+    The kinds whose count grows with the run keep their events as rows of
+    a ``_Table``: ``dispatch`` (~30k in a hen run), ``improvement`` and
+    ``broadcast`` (~1.7k each in a mutas run of 5k evaluations, where a
+    dict took ~384 B and ~193 B) and ``solver-improvement``.  Each label is
+    kept once, in a label table.  A row is:
+
+    * ``dispatch``: the evaluator's and solver's label indices and the
+      message count, ~17 B.  No ``dispatches`` value: ``RunRecord.dispatch``
+      logs each dispatch right after counting it, so that value is the
+      row's ordinal.
+    * ``improvement``: seq, message and dispatch counts, the solver's label
+      index, ``g`` and ``z``, ~57 B with two objectives.
+    * ``broadcast``: seq and the count delivered, ~17 B.
+    * ``solver-improvement``: seq, the solver's and its class's label
+      indices and ``z``.
+
+    Integers are signed 64-bit machine integers, so one of 2**63 or more
+    raises ``OverflowError`` before the row is logged; ``g`` and ``z`` are
+    doubles, so an int among them reads back as a float.  Every other event
+    (run-start, refusal, terminated, evaluator, mailbox: a fixed number a
+    run) is kept as the dict given to ``append``.  Iteration builds a row's
+    dict when it is read; ``write`` renders the rows without building them.
     """
 
-    __slots__ = ("_labels", "_evaluators", "_solvers", "_messages",
-                 "_events", "_rows_before")
+    __slots__ = ("_labels", "_kinds", "_dicts", "_dispatches",
+                 "_improvements", "_broadcasts", "_solver_bests")
 
     def __init__(self):
         self._labels: dict[str, int] = {}  # label -> index, in first use
-        self._evaluators = array("I")
-        self._solvers = array("I")
-        self._messages = array("q")
-        self._events: list[dict] = []
-        self._rows_before = array("q")  # per event in _events
+        self._kinds = array("B")  # per event, its kind's code
+        self._dicts: list[dict] = []
+        self._dispatches = _Table()
+        self._improvements = _Table()
+        self._broadcasts = _Table()
+        self._solver_bests = _Table()
+
+    def _label(self, label: str) -> int:
+        labels = self._labels
+        return labels.setdefault(label, len(labels))
 
     def dispatch(self, evaluator: str, solver: str, messages: int) -> None:
         """Log a dispatch row.  The count goes first: one it cannot hold
         raises before any column grows."""
-        self._messages.append(messages)
-        labels = self._labels
-        self._evaluators.append(labels.setdefault(evaluator, len(labels)))
-        self._solvers.append(labels.setdefault(solver, len(labels)))
+        table = self._dispatches
+        table.ints.append(messages)
+        ids, labels = table.ids, self._labels
+        ids.append(labels.setdefault(evaluator, len(labels)))
+        ids.append(labels.setdefault(solver, len(labels)))
+        self._kinds.append(_DISPATCH)
+
+    def improvement(self, seq: int, solver: str, messages: int,
+                    dispatches: int, g: float, z) -> None:
+        """Log an archive improvement row."""
+        self._improvements.add((seq, messages, dispatches),
+                               (self._label(solver),), (g, *z))
+        self._kinds.append(_IMPROVEMENT)
+
+    def broadcast(self, seq: int, delivered: int) -> None:
+        """Log a broadcast row."""
+        self._broadcasts.add((seq, delivered), ())
+        self._kinds.append(_BROADCAST)
+
+    def solver_improvement(self, seq: int, solver: str, solver_class: str,
+                           z) -> None:
+        """Log a row for a new best of one solver's own."""
+        self._solver_bests.add(
+            (seq,), (self._label(solver), self._label(solver_class)), z)
+        self._kinds.append(_SOLVER_BEST)
 
     def append(self, event: dict) -> None:
-        """Log any event other than a dispatch."""
-        self._rows_before.append(len(self._messages))
-        self._events.append(event)
+        """Log an event of any other kind, as its dict."""
+        self._dicts.append(event)
+        self._kinds.append(_DICT)
 
     def __len__(self) -> int:
-        return len(self._messages) + len(self._events)
+        return len(self._kinds)
 
-    def _runs(self):
-        """The log in order, as pairs (rows, event): an iterator over the
-        rows ``(ordinal, evaluator index, solver index, messages)`` logged
-        before ``event``, then the event; the last pair's event is None.
-        Each pair's rows must be read before the next pair is taken."""
-        rows = zip(count(1), self._evaluators, self._solvers, self._messages)
-        logged = 0
-        for rows_before, event in zip(self._rows_before, self._events):
-            yield islice(rows, rows_before - logged), event
-            logged = rows_before
-        yield rows, None
+    def improvement_count(self) -> int:
+        return len(self._improvements.ends)
+
+    def _improvement_rows(self):
+        """Each improvement row as ``(seq, messages, dispatches, solver
+        index, [g, *z])``."""
+        table = self._improvements
+        return zip(*[iter(table.ints)] * 3, table.ids, table.spans())
+
+    def _tables(self):
+        """An iterator over each kind's rows, in kind-code order: the dicts;
+        the dispatch rows ``(ordinal, evaluator, solver, messages)``; the
+        improvement rows as ``_improvement_rows`` gives them; the broadcast
+        rows ``(seq, delivered)``; the solver-improvement rows ``(seq,
+        solver, class, z)``.  Labels are label indices."""
+        dispatches, broadcasts = self._dispatches, self._broadcasts
+        solver_bests = self._solver_bests
+        return (iter(self._dicts),
+                zip(count(1), *[iter(dispatches.ids)] * 2, dispatches.ints),
+                self._improvement_rows(),
+                zip(*[iter(broadcasts.ints)] * 2),
+                zip(solver_bests.ints, *[iter(solver_bests.ids)] * 2,
+                    solver_bests.spans()))
+
+    def _merged(self, streams):
+        """The items of ``streams``, one iterator per kind code, merged
+        into the log's order."""
+        takes = [stream.__next__ for stream in streams]
+        return map(call, map(takes.__getitem__, self._kinds))
 
     def __iter__(self):
         labels = list(self._labels)
-        for rows, event in self._runs():
-            for ordinal, evaluator, solver, messages in rows:
-                yield {"event": "dispatch", "evaluator": labels[evaluator],
-                       "solver": labels[solver], "messages": messages,
-                       "dispatches": ordinal}
-            if event is not None:
-                yield event
+        dicts, dispatches, improvements, broadcasts, bests = self._tables()
+        return self._merged((
+            dicts,
+            ({"event": "dispatch", "evaluator": labels[evaluator],
+              "solver": labels[solver], "messages": messages,
+              "dispatches": ordinal}
+             for ordinal, evaluator, solver, messages in dispatches),
+            (_improvement_event(row, labels) for row in improvements),
+            ({"event": "broadcast", "seq": seq, "delivered": delivered}
+             for seq, delivered in broadcasts),
+            ({"event": "solver-improvement", "solver": labels[solver],
+              "class": labels[solver_class], "seq": seq, "z": z}
+             for seq, solver, solver_class, z in bests),
+        ))
+
+    def improvements(self):
+        """The improvement events, in order, as iteration yields them."""
+        labels = list(self._labels)
+        return (_improvement_event(row, labels)
+                for row in self._improvement_rows())
 
     def write(self, path) -> None:
         """Write the log as events.log: one JSON object per line, keys
         sorted, as ``json.dumps(event, sort_keys=True)`` writes each event
         that iteration yields.
 
-        A dispatch row goes through ``_DISPATCH_LINE``, and an improvement
-        or broadcast event made by ``RunRecord`` through
-        ``_IMPROVEMENT_LINE`` or ``_BROADCAST_LINE``, their labels through
+        A row goes through its kind's line template, its labels through
         ``encode_basestring_ascii`` as ``json.dumps`` encodes strings (the
         label table once, not each row).  Every other value goes through
         one ``sorted_encoder``.  The lines are streamed, not joined first:
@@ -188,25 +295,30 @@ class EventLog:
         """
         encode = sorted_encoder()
         labels = [encode_basestring_ascii(label) for label in self._labels]
-
-        def lines():
-            for rows, event in self._runs():
-                for ordinal, evaluator, solver, messages in rows:
-                    yield _DISPATCH_LINE % (ordinal, labels[evaluator],
-                                            messages, labels[solver])
-                if type(event) is _Improvement:
-                    yield _IMPROVEMENT_LINE % (
-                        event["dispatches"], "".join(encode(event["g"], 0)),
-                        event["messages"], event["seq"],
-                        encode_basestring_ascii(event["solver"]),
-                        "".join(encode(event["z"], 0)))
-                elif type(event) is _Broadcast:
-                    yield _BROADCAST_LINE % (event["delivered"], event["seq"])
-                elif event is not None:
-                    yield "".join(encode(event, 0)) + "\n"
-
+        dicts, dispatches, improvements, broadcasts, bests = self._tables()
+        lines = self._merged((
+            ("".join(encode(event, 0)) + "\n" for event in dicts),
+            (_DISPATCH_LINE % (ordinal, labels[evaluator], messages,
+                               labels[solver])
+             for ordinal, evaluator, solver, messages in dispatches),
+            (_IMPROVEMENT_LINE % (
+                dispatches, "".join(encode(g, 0)), messages, seq,
+                labels[solver], "".join(encode(z, 0)))
+             for seq, messages, dispatches, solver, (g, *z) in improvements),
+            (_BROADCAST_LINE % (delivered, seq)
+             for seq, delivered in broadcasts),
+            (_SOLVER_BEST_LINE % (labels[solver_class], seq, labels[solver],
+                                  "".join(encode(z, 0)))
+             for seq, solver, solver_class, z in bests),
+        ))
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(lines())
+            fh.writelines(lines)
+
+
+def _improvement_event(row, labels: list[str]) -> dict:
+    seq, messages, dispatches, solver, (g, *z) = row
+    return {"event": "improvement", "seq": seq, "solver": labels[solver],
+            "z": z, "g": g, "messages": messages, "dispatches": dispatches}
 
 
 def sorted_encoder():
@@ -224,27 +336,15 @@ def sorted_encoder():
                           True, False, True)
 
 
-class _Improvement(dict):
-    """An improvement event as ``RunRecord.improvement`` makes it, so that
-    ``EventLog.write`` knows its keys and renders it by template."""
-
-    __slots__ = ()
-
-
-class _Broadcast(dict):
-    """A broadcast event as ``RunRecord.broadcast`` makes it, likewise."""
-
-    __slots__ = ()
-
-
-# The events.log line of a dispatch, an improvement and a broadcast event:
-# keys sorted, as json.dumps writes them; labels and numbers come
-# JSON-encoded.
+# The events.log line of each kind of row: keys sorted, as json.dumps
+# writes them; labels and numbers come JSON-encoded.
 _DISPATCH_LINE = ('{"dispatches": %d, "evaluator": %s, "event": "dispatch", '
                   '"messages": %d, "solver": %s}\n')
 _IMPROVEMENT_LINE = ('{"dispatches": %d, "event": "improvement", "g": %s, '
                      '"messages": %d, "seq": %d, "solver": %s, "z": %s}\n')
 _BROADCAST_LINE = '{"delivered": %d, "event": "broadcast", "seq": %d}\n'
+_SOLVER_BEST_LINE = ('{"class": %s, "event": "solver-improvement", '
+                     '"seq": %d, "solver": %s, "z": %s}\n')
 
 
 @dataclass
@@ -253,8 +353,9 @@ class RunRecord:
 
     Every record of ``events`` (an ``EventLog``) is made here, by one
     method per event kind, and each method bumps the counts its event
-    carries.  The scheduler counts its messages into ``messages``, and
-    each evaluator counts into the record ``evaluator`` made for it.
+    carries; the improvements are counted from the log.  The scheduler
+    counts its messages into ``messages``, and each evaluator counts into
+    the record ``evaluator`` made for it.
     ``close`` ends the log with the evaluator records, then one ledger
     record per mailbox.
     """
@@ -267,7 +368,6 @@ class RunRecord:
     broadcasts: int = 0
     refusals: int = 0
     solver_dispatches: Counter = field(default_factory=Counter)
-    improvements: list[dict] = field(default_factory=list)
 
     def run_start(self, problem: str, mode: str, rep_index: int,
                   solvers: list[str], initial_points) -> None:
@@ -292,23 +392,16 @@ class RunRecord:
         self.events.dispatch(evaluator, solver, self.messages)
 
     def improvement(self, evaluation) -> None:
-        """An archive improvement: a trace row and an event."""
-        improvement = _Improvement(
-            event="improvement",
-            seq=evaluation.seq,
-            solver=evaluation.solver_id,
-            z=list(evaluation.objectives),
-            g=evaluation.constraint,
-            messages=self.messages,
-            dispatches=self.dispatches,
-        )
-        self.improvements.append(improvement)
-        self.events.append(improvement)
+        """An archive improvement: a trace row and an event.  Its ``z``
+        and ``g`` are logged as floats, as ``evaluate_model`` makes them:
+        an int among them reads back as a float (``1`` as ``1.0``)."""
+        self.events.improvement(evaluation.seq, evaluation.solver_id,
+                                self.messages, self.dispatches,
+                                evaluation.constraint, evaluation.objectives)
 
     def broadcast(self, seq: int, delivered: int) -> None:
+        self.events.broadcast(seq, delivered)
         self.broadcasts += delivered
-        self.events.append(_Broadcast(event="broadcast", seq=seq,
-                                      delivered=delivered))
 
     def refusal(self, solver: str) -> None:
         self.refusals += 1
@@ -317,10 +410,8 @@ class RunRecord:
     def solver_improvement(self, label: str, solver_class: str,
                            evaluation) -> None:
         """A new best of one solver's own."""
-        self.events.append({
-            "event": "solver-improvement", "solver": label,
-            "class": solver_class, "seq": evaluation.seq,
-            "z": list(evaluation.objectives)})
+        self.events.solver_improvement(evaluation.seq, label, solver_class,
+                                       evaluation.objectives)
 
     def counters(self) -> dict:
         """The run's totals, as ``report.counters`` and the last event."""
@@ -329,7 +420,7 @@ class RunRecord:
             "dispatches": self.dispatches,
             "broadcasts": self.broadcasts,
             "refusals": self.refusals,
-            "improvements": len(self.improvements),
+            "improvements": self.events.improvement_count(),
         }
 
     def terminated(self) -> None:

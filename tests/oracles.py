@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from coopt.core import INFEASIBLE_SENTINEL, Evaluation, dominates, freeze_point
+from coopt.metrics import MEASURES
 from coopt.scheduler import P_MAX, EventLog
 
 
@@ -175,6 +176,29 @@ def generational_distance_cube(points, front):
     return float(np.mean(nearest))
 
 
+def staircase_loop(points):
+    """``metrics._staircase`` as a loop: sorted by (z1, z2), keep a point
+    when its z2 is below the last kept point's."""
+    order = np.lexsort((points[:, 1], points[:, 0]))
+    stairs = []
+    for p in points[order]:
+        if not stairs or p[1] < stairs[-1][1]:
+            stairs.append(p)
+    return np.array(stairs)
+
+
+def front_measures_each(points, reference=None, utopia=None, front=None):
+    """``metrics.front_measures`` with every measure computed on its own,
+    the hypervolume complement included."""
+    if np.shape(points)[1:] != (2,):
+        return {"non-dominated points": float(len(points))}
+    inputs = {"reference": reference, "utopia": utopia, "front": front}
+    return {name: measure(points) if needs is None
+            else measure(points, inputs[needs])
+            for name, (measure, needs) in MEASURES.items()
+            if needs is None or inputs[needs] is not None}
+
+
 def golden_section_minimum(f, lo, hi, tol=1e-10):
     """Scalar golden-section search for the minimum of f on [lo, hi]."""
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
@@ -258,6 +282,40 @@ def logged_events(entries):
         else:
             log.append(entry)
             expected.append(entry)
+    return log, expected
+
+
+def logged_rows(steps):
+    """An ``EventLog`` of ``steps``, each a pair ``(method, args)`` that is
+    called on it, and the dicts its events were logged as before the log
+    kept rows as columns: ``append``'s dict as given, and each other
+    event's as ``RunRecord`` built it, its ``g`` and ``z`` as floats."""
+    log, expected, dispatches = EventLog(), [], 0
+    for method, args in steps:
+        getattr(log, method)(*args)
+        if method == "append":
+            expected.append(args[0])
+        elif method == "dispatch":
+            dispatches += 1
+            evaluator, solver, messages = args
+            expected.append({"event": "dispatch", "evaluator": evaluator,
+                             "solver": solver, "messages": messages,
+                             "dispatches": dispatches})
+        elif method == "improvement":
+            seq, solver, messages, dispatched, g, z = args
+            expected.append({"event": "improvement", "seq": seq,
+                             "solver": solver, "z": [float(v) for v in z],
+                             "g": float(g), "messages": messages,
+                             "dispatches": dispatched})
+        elif method == "broadcast":
+            seq, delivered = args
+            expected.append({"event": "broadcast", "seq": seq,
+                             "delivered": delivered})
+        else:
+            seq, solver, solver_class, z = args
+            expected.append({"event": "solver-improvement", "solver": solver,
+                             "class": solver_class, "seq": seq,
+                             "z": [float(v) for v in z]})
     return log, expected
 
 

@@ -136,7 +136,7 @@ def test_sharing_broadcasts_to_all_share_mailboxes():
         shared[sid] = got
     # Three strictly improving evaluations -> three broadcast waves to the
     # two solvers; s2 idles so its ring (capacity 4) kept all three.
-    assert len(agents.state.record.improvements) == 3
+    assert agents.state.record.events.improvement_count() == 3
     assert [m.content.objectives[0] for m in shared["s2"]] == [25.0, 16.0, 9.0]
     assert all(m.kind is MessageKind.SHAREBEST for m in shared["s2"])
 
@@ -153,7 +153,7 @@ def test_independent_mode_sends_no_sharebest():
     assert all(len(mb) == 0 for mb in state.share_mailboxes.values())
     assert not [e for e in record.events if e["event"] == "broadcast"]
     # Improvements are still recorded so both modes leave the same trace shape.
-    assert len(record.improvements) == 3
+    assert record.events.improvement_count() == 3
 
 
 def test_teardown_unblocks_waiting_solvers_and_evaluators():

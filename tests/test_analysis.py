@@ -115,7 +115,8 @@ async def _drive(stream, mode=SINGLE):
     notifications = []
     while (m := sched.take_nowait()) is not None:
         notifications.append(m)
-    assert not record.improvements  # the open inbox took every one
+    # The open inbox took every one.
+    assert not record.events.improvement_count()
     return final, notifications
 
 
@@ -161,9 +162,9 @@ def test_loop_survives_closed_scheduler_inbox():
 
     snapshot = run(go())
     assert snapshot.best.objectives == (1.0,)
-    assert [(e["seq"], e["z"]) for e in record.improvements] == [
+    assert [(e["seq"], e["z"]) for e in record.events.improvements()] == [
         (1, [2.0]), (3, [1.0])]
-    assert list(record.events) == record.improvements
+    assert list(record.events) == list(record.events.improvements())
 
 
 def test_large_archive_repr_is_short():

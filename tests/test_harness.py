@@ -5,6 +5,7 @@ import gc
 import json
 import math
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -525,6 +526,31 @@ def test_a_dispatch_event_costs_at_most_24_bytes():
         tracemalloc.stop()
     assert dispatches == report.counters["dispatches"] > 2_000
     assert freed <= 24 * dispatches, freed / dispatches
+
+
+def test_improvement_and_broadcast_events_cost_at_most_64_and_24_bytes():
+    """The log keeps a bi-objective improvement (~57 B) and a broadcast
+    (~17 B) as rows of columns, not as dicts (~384 B and ~193 B)."""
+    cfg = preset_config("mutas-protocol", "biobj-quadratic-5",
+                        budget=Budget.evaluations(2_000), seed=1)
+    tracemalloc.start()
+    try:
+        report = run_once(cfg, 0)
+        # The events kept as dicts stay referenced, so only the rows go.
+        counts = Counter(e["event"] for e in report.events)
+        kept = [e for e in report.events if e["event"] not in (
+            "dispatch", "improvement", "broadcast", "solver-improvement")]
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        report.events = None
+        gc.collect()
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept and counts["improvement"] > 300 and counts["broadcast"] > 300
+    assert counts["improvement"] == report.counters["improvements"]
+    assert freed <= 24 * (counts["dispatch"] + counts["broadcast"]) \
+        + 64 * counts["improvement"], (freed, counts)
 
 
 # ---------------------------------------------------------------------- CLI

@@ -19,7 +19,8 @@ from coopt.metrics import (
     hypervolume,
     hypervolume_complement,
 )
-from oracles import generational_distance_cube, monte_carlo_hypervolume
+from oracles import (front_measures_each, generational_distance_cube,
+                     monte_carlo_hypervolume, staircase_loop)
 
 
 def random_staircase(rng, n):
@@ -183,6 +184,8 @@ def test_gd_blocks_equal_the_difference_cube(points, front, block_pairs):
 @pytest.mark.parametrize("n_points, n_front", [
     (255, 256), (256, 256), (257, 256), (513, 256),
     (1, 1 << 16), (2, (1 << 16) + 1), (3, 70_000),
+    (63, 256), (64, 256), (65, 256), (129, 256),
+    (1, 1 << 14), (2, (1 << 14) + 1),
 ])
 def test_gd_equals_the_difference_cube_around_the_block_size(n_points,
                                                              n_front):
@@ -206,6 +209,47 @@ def test_gd_memory_does_not_grow_with_points_times_front():
         tracemalloc.stop()
     # The 1000 x 1000 x 2 difference cube alone is 16 MB.
     assert peak < 4_000_000
+
+
+# ---------------------------------------------- staircase and complement
+
+# Coordinates on a coarse grid, so that equal z1, equal z2 and duplicate
+# points are common; +-0.0 and +-inf among them.
+GRID = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 2.0, math.inf,
+                        -math.inf])
+GRID_POINTS = st.lists(st.tuples(GRID, GRID), min_size=1, max_size=30)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(GRID_POINTS,
+                 st.lists(st.tuples(st.floats(allow_nan=False),
+                                    st.floats(allow_nan=False)),
+                          min_size=1, max_size=30)))
+def test_staircase_equals_the_loop(points):
+    pts = np.array(points, dtype=float)
+    stairs = metrics._staircase(pts)
+    expected = staircase_loop(pts)
+    assert stairs.shape == expected.shape
+    assert stairs.tobytes() == expected.tobytes()
+
+
+REFERENCES = st.tuples(GRID, GRID) | st.tuples(st.floats(), st.floats())
+
+
+@settings(deadline=None, max_examples=300)
+@given(POINTS | GRID_POINTS, REFERENCES, st.none() | REFERENCES,
+       st.none() | POINTS)
+def test_front_measures_equal_each_measure_alone(points, reference, utopia,
+                                                 front):
+    # inf - inf, inf * 0 and squares beyond the float range warn in both.
+    with np.errstate(invalid="ignore", over="ignore"):
+        row = front_measures(points, reference, utopia, front)
+        expected = front_measures_each(points, reference, utopia, front)
+    assert list(row) == list(expected)
+    for name, value in row.items():
+        assert np.float64(value).tobytes() \
+            == np.float64(expected[name]).tobytes() \
+            or math.isnan(value) and math.isnan(expected[name]), name
 
 
 # ------------------------------------------------------ order invariance

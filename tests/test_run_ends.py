@@ -156,7 +156,7 @@ def test_model_exception_on_first_call_is_a_sentinel_evaluation():
     archive, errors = run(agents, solvers)
     assert not errors
     assert agents.state.record.messages >= CFG.budget.limit  # ran to budget
-    improvements = agents.state.record.improvements
+    improvements = list(agents.state.record.events.improvements())
     assert (improvements[0]["seq"], improvements[0]["z"]) == (1, [math.inf])
     assert improvements[0]["g"] == math.inf
     assert not archive.best.failed

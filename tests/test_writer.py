@@ -88,8 +88,7 @@ def reports(draw):
     return RunReport(
         problem=draw(LABELS), mode=draw(LABELS),
         rep_index=draw(st.integers(0, 99)), sharing=draw(st.booleans()),
-        archive=archive, improvements=record.improvements,
-        solver_classes=classes,
+        archive=archive, solver_classes=classes,
         per_solver_evaluations=dict(record.solver_dispatches),
         counters=record.counters(),
         metrics_row=draw(st.none() | st.dictionaries(LABELS, FLOATS,
@@ -125,7 +124,7 @@ def test_float_texts_cover_every_spelling():
     archive._front[member] = None
     report = RunReport(
         problem="p", mode="m", rep_index=0, sharing=True, archive=archive,
-        improvements=record.improvements, solver_classes={"s": "GA"},
+        solver_classes={"s": "GA"},
         per_solver_evaluations={}, counters=record.counters(),
         metrics_row=None, wall_time=np.float64(0.5), valid=True, error="",
         events=record.events)
