@@ -154,19 +154,19 @@ class EventLog:
     The log keeps the kind of every event in order, one byte an event.
     The kinds whose count grows with the run keep their events as rows of
     a ``_Table``: ``dispatch`` (~30k in a hen run), ``improvement`` and
-    ``broadcast`` (~1.7k each in a mutas run of 5k evaluations, where a
-    dict took ~384 B and ~193 B) and ``solver-improvement``.  Each label is
-    kept once, in a label table.  A row is:
+    ``broadcast`` (~1.7k each in a mutas run of 5k evaluations) and
+    ``solver-improvement``.  Each label is kept once, in a label table.  A
+    row is (tracemalloc, where a dict took ~250, ~370, ~200 and ~270 B):
 
     * ``dispatch``: the evaluator's and solver's label indices and the
-      message count, ~17 B.  No ``dispatches`` value: ``RunRecord.dispatch``
+      message count, ~18 B.  No ``dispatches`` value: ``RunRecord.dispatch``
       logs each dispatch right after counting it, so that value is the
       row's ordinal.
     * ``improvement``: seq, message and dispatch counts, the solver's label
-      index, ``g`` and ``z``, ~57 B with two objectives.
+      index, ``g`` and ``z``, ~60 B with two objectives.
     * ``broadcast``: seq and the count delivered, ~17 B.
     * ``solver-improvement``: seq, the solver's and its class's label
-      indices and ``z``.
+      indices and ``z``, ~31 B with one objective.
 
     Integers are signed 64-bit machine integers, so one of 2**63 or more
     raises ``OverflowError`` before the row is logged; ``g`` and ``z`` are
@@ -261,14 +261,14 @@ class EventLog:
 
     def __iter__(self):
         labels = list(self._labels)
-        dicts, dispatches, improvements, broadcasts, bests = self._tables()
+        dicts, dispatches, _, broadcasts, bests = self._tables()
         return self._merged((
             dicts,
             ({"event": "dispatch", "evaluator": labels[evaluator],
               "solver": labels[solver], "messages": messages,
               "dispatches": ordinal}
              for ordinal, evaluator, solver, messages in dispatches),
-            (_improvement_event(row, labels) for row in improvements),
+            self.improvements(),
             ({"event": "broadcast", "seq": seq, "delivered": delivered}
              for seq, delivered in broadcasts),
             ({"event": "solver-improvement", "solver": labels[solver],
@@ -279,8 +279,11 @@ class EventLog:
     def improvements(self):
         """The improvement events, in order, as iteration yields them."""
         labels = list(self._labels)
-        return (_improvement_event(row, labels)
-                for row in self._improvement_rows())
+        return ({"event": "improvement", "seq": seq, "solver": labels[solver],
+                 "z": z, "g": g, "messages": messages,
+                 "dispatches": dispatches}
+                for seq, messages, dispatches, solver, (g, *z)
+                in self._improvement_rows())
 
     def write(self, path) -> None:
         """Write the log as events.log: one JSON object per line, keys
@@ -313,12 +316,6 @@ class EventLog:
         ))
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(lines)
-
-
-def _improvement_event(row, labels: list[str]) -> dict:
-    seq, messages, dispatches, solver, (g, *z) = row
-    return {"event": "improvement", "seq": seq, "solver": labels[solver],
-            "z": z, "g": g, "messages": messages, "dispatches": dispatches}
 
 
 def sorted_encoder():

@@ -529,8 +529,8 @@ def test_a_dispatch_event_costs_at_most_24_bytes():
 
 
 def test_improvement_and_broadcast_events_cost_at_most_64_and_24_bytes():
-    """The log keeps a bi-objective improvement (~57 B) and a broadcast
-    (~17 B) as rows of columns, not as dicts (~384 B and ~193 B)."""
+    """The log keeps a bi-objective improvement (~60 B) and a broadcast
+    (~17 B) as rows of columns, not as dicts (~370 B and ~200 B)."""
     cfg = preset_config("mutas-protocol", "biobj-quadratic-5",
                         budget=Budget.evaluations(2_000), seed=1)
     tracemalloc.start()
