@@ -116,8 +116,8 @@ class RunReport:
 
     ``events`` is the run's ``EventLog``: reading it gives every event as
     a dict, a row's built when read, and its ``write`` renders events.log.
-    ``trace`` builds trace.csv's rows from the log's improvement rows when
-    it is read.
+    ``trace`` builds trace.csv's rows, one dict each, from the fields of
+    the log's improvement rows when it is read.
     """
 
     problem: str
@@ -138,10 +138,11 @@ class RunReport:
     def trace(self) -> list[dict]:
         """One row per archive improvement, in arrival order."""
         classes = self.solver_classes
-        return [{"seq": e["seq"], "messages": e["messages"],
-                 "dispatches": e["dispatches"], "z": e["z"],
-                 "instance_label": e["solver"], "class": classes[e["solver"]]}
-                for e in self.events.improvements()]
+        return [{"seq": seq, "messages": messages, "dispatches": dispatches,
+                 "z": z, "instance_label": solver, "class": classes[solver]}
+                for seq, messages, dispatches, z, solver in self.events.rows(
+                    "improvement", "seq", "messages", "dispatches", "z",
+                    "solver")]
 
     def best_value(self) -> Optional[float]:
         if self.archive is None or self.archive.best is None:
@@ -641,20 +642,21 @@ def write_run_dir(run_dir, report: RunReport) -> Path:
     """Write a run's trace.csv, archive.csv, events.log and report.json.
 
     Each float of the trace's ``z`` and of the archive members is rendered
-    once, as ``_float_cell`` renders it.  The CSV rows hold those texts, and
+    once, as ``_float_cell`` renders it.  The CSV rows hold those texts.
     report.json's ``trace`` and ``archive`` arrays are built from them, with
-    the non-finite ones spelled as ``json.dumps`` spells them.  Every other
-    report.json value goes through one ``sorted_encoder``.  The values are
-    floats, as ``evaluate_model`` makes them, and the bytes are those of
-    ``json.dumps(summary, sort_keys=True) + "\n"`` for the summary of
-    every key here, of ``write_run_csvs`` on that summary, and of
+    the non-finite ones spelled as ``json.dumps`` spells them, and each
+    trace row's ``z`` text is also its improvement's ``z`` in events.log.
+    Every other report.json value goes through one ``sorted_encoder``.  The
+    values are floats, as ``evaluate_model`` makes them, and the bytes are
+    those of ``json.dumps(summary, sort_keys=True) + "\n"`` for the summary
+    of every key here, of ``write_run_csvs`` on that summary, and of
     ``EventLog.write``.
     """
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     trace = report.trace
     z_arrays = _write_trace_csv(run_dir / "trace.csv", trace)
-    report.events.write(run_dir / "events.log")
+    report.events.write(run_dir / "events.log", {"improvement": z_arrays})
     members = report.archive.members() if report.archive else []
     header, rows = _archive_table([
         (m.point.tolist(), m.objectives, m.constraint, m.solver_id, m.seq)

@@ -19,7 +19,8 @@ guards, asyncio's C ``Future`` and ``Task``, the async-generator hooks,
 and the exception handler that logs to the ``asyncio`` logger.  The
 loop relies on four private names, alike on Python 3.11 to 3.13: the
 ``_run_once`` step it replaces, the ``_ready`` deque, the ``_stopping`` flag
-set once ``run_until_complete``'s future is done, and ``_thread_id``.
+set once ``run_until_complete``'s future is done, and ``_thread_id``.  A
+RunLoop refuses to be made without one: ``RuntimeError`` names it.
 
 An empty ready queue while the main task is unfinished is an exact
 deadlock, so the loop raises ``Stalled`` instead of hanging.  Timers and
@@ -44,6 +45,12 @@ class RunLoop(asyncio.BaseEventLoop):
 
     def __init__(self):
         super().__init__()
+        for owner, name in ((super(), "_run_once"), (self, "_ready"),
+                            (self, "_stopping"), (self, "_thread_id")):
+            if not hasattr(owner, name):
+                self._closed = True  # so __del__ neither warns nor closes it
+                raise RuntimeError(f"asyncio's event loop has no {name}, "
+                                   "which a RunLoop relies on")
         self.create_future = functools.partial(asyncio.Future, loop=self)
 
     def set_debug(self, enabled):

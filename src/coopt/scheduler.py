@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import asyncio
 import json
+import keyword
 from array import array
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from itertools import count
-from json.encoder import c_make_encoder, encode_basestring_ascii
+from itertools import chain, pairwise, repeat
+from json.encoder import encode_basestring_ascii
 from operator import call
 from typing import Any, NamedTuple, Optional
 
@@ -108,240 +109,229 @@ class Budget:
         return cls("evaluations", limit)
 
 
-# The code of each kind of event in ``EventLog``'s kind column.  The first
-# is every event that the log keeps as its dict.
-_DICT, _DISPATCH, _IMPROVEMENT, _BROADCAST, _SOLVER_BEST = range(5)
+# Each event kind whose count grows with the run, as a spec: its event
+# name; its fields, in its adder's argument order, as ``name:type``; and
+# its dicts' key order, where that differs.  Each field type's column is
+# an array of the typecode ``_TYPECODES`` gives: an ``int`` is a signed
+# 64-bit integer, a ``label`` its index in the log's label table (32-bit
+# unsigned: the solver count has no bound) and a ``float`` a double (an
+# int reads back as a float).  A ``floats`` field's column holds where
+# each row's doubles end in its table's ``floats``.  An ``ordinal`` is the
+# row's number, from 1, kept nowhere: ``RunRecord.dispatch`` counts, then
+# logs.
+_SPECS = (
+    ("dispatch",
+     "evaluator:label solver:label messages:int dispatches:ordinal", ""),
+    ("improvement",
+     "seq:int solver:label messages:int dispatches:int g:float z:floats",
+     "seq solver z g messages dispatches"),
+    ("broadcast", "seq:int delivered:int", ""),
+    ("solver-improvement", "seq:int solver:label class:label z:floats",
+     "solver class seq z"),
+)
+_TYPECODES = {"int": "q", "label": "I", "float": "d", "floats": "I"}
+# A kind's ``EventLog`` adder, given the bound ``append``s of the kind
+# column and its columns (a value that its column cannot hold raises, and
+# the table is cut back to its whole rows), and its reader of rows, fields
+# in key order, as dicts.
+_CODE = '''def {method}(self, {args}):
+    """Log a {event} row; its spec in ``_SPECS`` names its fields."""
+    labels = self._labels
+    kind, {appends}, = self._appends[{index}]
+    try:{statements}
+        kind({code})
+    except BaseException:
+        self._tables["{event}"].trim()
+        raise
+def read(rows):
+    return ({{"event": "{event}", {items}}} for {keys}, in rows)'''
+_APPEND = {"int": "{append}({arg})",
+           "label": "{append}(labels.setdefault({arg}, len(labels)))",
+           "float": "{append}({arg})",
+           "floats": "floats = self._tables[\"{event}\"].floats\n"
+                     "        floats.extend({arg})\n"
+                     "        {append}(len(floats))"}
+
+
+class _Kind:
+    """One growing kind's spec, and what it makes: its ``EventLog`` adder,
+    set on that class, its dict reader and its events.log line template."""
+
+    def __init__(self, code: int, event: str, fields: str, keys: str):
+        self.event = event
+        self.method = event.replace("-", "_")
+        self.fields = dict(field.split(":") for field in fields.split())
+        self.keys = keys.split() or list(self.fields)
+        self.line = "{%s}\n" % ", ".join(  # keys sorted
+            f"{json.dumps(key)}: " + ("%s" if key in self.fields
+                                      else json.dumps(event))
+            for key in sorted([*self.fields, "event"]))
+        local = {name: name + "_" * keyword.iskeyword(name)
+                 for name in self.fields}  # ``class`` is ``class_``
+        stored = [name for name, type_ in self.fields.items()
+                  if type_ != "ordinal"]
+        namespace = {"__name__": __name__}
+        exec(_CODE.format(
+            method=self.method, event=event, index=code - 1, code=code,
+            args=", ".join(local[name] for name in stored),
+            appends=", ".join(f"_{i}" for i in range(len(stored))),
+            statements="".join(
+                "\n        " + _APPEND[self.fields[name]].format(
+                    append=f"_{i}", arg=local[name], event=event)
+                for i, name in enumerate(stored)),
+            items=", ".join(f'"{key}": {local[key]}' for key in self.keys),
+            keys=", ".join(local[key] for key in self.keys)), namespace)
+        setattr(EventLog, self.method, namespace[self.method])
+        self.read = namespace["read"]
 
 
 class _Table:
-    """The rows of one kind of event, as columns.
+    """One growing kind's rows: a column per field but an ``ordinal``, by
+    name, and its ``floats`` field's doubles in ``floats``."""
 
-    A row's integers go in ``ints`` (signed 64-bit machine integers) and
-    its labels, as label-table indices, in ``ids`` (32-bit unsigned: the
-    solver count has no bound), the same number of each in every row of a
-    kind.  A kind with floats puts a row's floats, any number of them, in
-    ``floats`` (doubles), and ``ends`` holds where each row's floats end.
-    """
+    __slots__ = ("kind", "columns", "floats")
 
-    __slots__ = ("ints", "ids", "floats", "ends")
+    def __init__(self, kind: _Kind):
+        self.kind, self.floats = kind, array("d")
+        self.columns = {name: array(_TYPECODES[type_])
+                        for name, type_ in kind.fields.items()
+                        if type_ != "ordinal"}
 
-    def __init__(self):
-        self.ints, self.ids = array("q"), array("I")
-        self.floats, self.ends = array("d"), array("I")
+    def __len__(self) -> int:
+        return min(map(len, self.columns.values()))
 
-    def add(self, ints, ids, floats=None) -> None:
-        """Append a row.  The numbers are converted first: one that its
-        column cannot hold raises before any column grows."""
-        ints = array("q", ints)
-        if floats is not None:
-            floats = array("d", floats)
-            self.floats += floats
-            self.ends.append(len(self.floats))
-        self.ints += ints
-        self.ids.extend(ids)
+    def trim(self) -> None:
+        """Cut every column back to the whole rows."""
+        rows = len(self)
+        for name, column in self.columns.items():
+            del column[rows:]
+            if self.kind.fields[name] == "floats":
+                del self.floats[column[-1] if column else 0:]
 
-    def spans(self):
-        """Each row's floats, as a list."""
-        start = 0
-        for end in self.ends:
-            yield self.floats[start:end].tolist()
-            start = end
+    def values(self, name: str, labels: list, encode=None):
+        """Field ``name`` of each row: a label as its entry in ``labels``,
+        and a float, given ``encode`` (a ``sorted_encoder``), as JSON text."""
+        type_ = self.kind.fields[name]
+        if type_ == "ordinal":
+            return range(1, len(self) + 1)
+        column = self.columns[name]
+        if type_ == "label":
+            return map(labels.__getitem__, column)
+        if type_ == "floats":
+            column = (self.floats[start:end].tolist()
+                      for start, end in pairwise(chain((0,), column)))
+        if encode is None or type_ == "int":
+            return column
+        return map("".join, map(encode, column, repeat(0)))
+
+    def read(self, labels: list):
+        """The rows as the dicts that iteration yields."""
+        return self.kind.read(zip(*(self.values(key, labels)
+                                    for key in self.kind.keys)))
+
+    def lines(self, labels: list, encode, floats=None):
+        """The rows' events.log lines, given the labels' JSON texts and,
+        where the caller has them, those of the ``floats`` field."""
+        fields = self.kind.fields
+        return map(self.kind.line.__mod__, zip(*(
+            floats if floats is not None and fields[name] == "floats"
+            else self.values(name, labels, encode)
+            for name in sorted(fields)), strict=True))
 
 
 class EventLog:
     """A run's event log: every event, in order, read as dicts.
 
     The log keeps the kind of every event in order, one byte an event.
-    The kinds whose count grows with the run keep their events as rows of
-    a ``_Table``: ``dispatch`` (~30k in a hen run), ``improvement`` and
-    ``broadcast`` (~1.7k each in a mutas run of 5k evaluations) and
-    ``solver-improvement``.  Each label is kept once, in a label table.  A
-    row is (tracemalloc, where a dict took ~250, ~370, ~200 and ~270 B):
-
-    * ``dispatch``: the evaluator's and solver's label indices and the
-      message count, ~18 B.  No ``dispatches`` value: ``RunRecord.dispatch``
-      logs each dispatch right after counting it, so that value is the
-      row's ordinal.
-    * ``improvement``: seq, message and dispatch counts, the solver's label
-      index, ``g`` and ``z``, ~60 B with two objectives.
-    * ``broadcast``: seq and the count delivered, ~17 B.
-    * ``solver-improvement``: seq, the solver's and its class's label
-      indices and ``z``, ~31 B with one objective.
-
-    Integers are signed 64-bit machine integers, so one of 2**63 or more
-    raises ``OverflowError`` before the row is logged; ``g`` and ``z`` are
-    doubles, so an int among them reads back as a float.  Every other event
-    (run-start, refusal, terminated, evaluator, mailbox: a fixed number a
-    run) is kept as the dict given to ``append``.  Iteration builds a row's
-    dict when it is read; ``write`` renders the rows without building them.
+    The kinds whose count grows with the run (``dispatch``, ~30k in a hen
+    run; ``improvement`` and ``broadcast``, ~1.7k each in a mutas run of
+    5k evaluations; ``solver-improvement``) keep their events as rows of a
+    ``_Table``, each label once in a label table.  Their adders
+    (``dispatch``, ``improvement``, ``broadcast``, ``solver_improvement``)
+    and readers are made from their specs (``_SPECS``); a row with a value
+    its column cannot hold raises and is not logged.  Every other event (a
+    fixed number a run) is kept as the dict given to ``append``.
     """
 
-    __slots__ = ("_labels", "_kinds", "_dicts", "_dispatches",
-                 "_improvements", "_broadcasts", "_solver_bests")
+    __slots__ = ("_labels", "_kinds", "_dicts", "_tables", "_appends")
 
     def __init__(self):
         self._labels: dict[str, int] = {}  # label -> index, in first use
-        self._kinds = array("B")  # per event, its kind's code
+        self._kinds = array("B")  # per event, its kind's code; 0: a dict
         self._dicts: list[dict] = []
-        self._dispatches = _Table()
-        self._improvements = _Table()
-        self._broadcasts = _Table()
-        self._solver_bests = _Table()
-
-    def _label(self, label: str) -> int:
-        labels = self._labels
-        return labels.setdefault(label, len(labels))
-
-    def dispatch(self, evaluator: str, solver: str, messages: int) -> None:
-        """Log a dispatch row.  The count goes first: one it cannot hold
-        raises before any column grows."""
-        table = self._dispatches
-        table.ints.append(messages)
-        ids, labels = table.ids, self._labels
-        ids.append(labels.setdefault(evaluator, len(labels)))
-        ids.append(labels.setdefault(solver, len(labels)))
-        self._kinds.append(_DISPATCH)
-
-    def improvement(self, seq: int, solver: str, messages: int,
-                    dispatches: int, g: float, z) -> None:
-        """Log an archive improvement row."""
-        self._improvements.add((seq, messages, dispatches),
-                               (self._label(solver),), (g, *z))
-        self._kinds.append(_IMPROVEMENT)
-
-    def broadcast(self, seq: int, delivered: int) -> None:
-        """Log a broadcast row."""
-        self._broadcasts.add((seq, delivered), ())
-        self._kinds.append(_BROADCAST)
-
-    def solver_improvement(self, seq: int, solver: str, solver_class: str,
-                           z) -> None:
-        """Log a row for a new best of one solver's own."""
-        self._solver_bests.add(
-            (seq,), (self._label(solver), self._label(solver_class)), z)
-        self._kinds.append(_SOLVER_BEST)
+        self._tables = {kind.event: _Table(kind) for kind in _KINDS}
+        self._appends = [  # per table, the ``append``s its adder calls
+            (self._kinds.append, *(c.append for c in t.columns.values()))
+            for t in self._tables.values()]
 
     def append(self, event: dict) -> None:
         """Log an event of any other kind, as its dict."""
         self._dicts.append(event)
-        self._kinds.append(_DICT)
+        self._kinds.append(0)
 
     def __len__(self) -> int:
         return len(self._kinds)
 
     def improvement_count(self) -> int:
-        return len(self._improvements.ends)
+        return len(self._tables["improvement"])
 
-    def _improvement_rows(self):
-        """Each improvement row as ``(seq, messages, dispatches, solver
-        index, [g, *z])``."""
-        table = self._improvements
-        return zip(*[iter(table.ints)] * 3, table.ids, table.spans())
+    def rows(self, event: str, *names):
+        """The ``event`` rows, in order, as tuples of the fields ``names``."""
+        table, labels = self._tables[event], list(self._labels)
+        return zip(*(table.values(name, labels) for name in names))
 
-    def _tables(self):
-        """An iterator over each kind's rows, in kind-code order: the dicts;
-        the dispatch rows ``(ordinal, evaluator, solver, messages)``; the
-        improvement rows as ``_improvement_rows`` gives them; the broadcast
-        rows ``(seq, delivered)``; the solver-improvement rows ``(seq,
-        solver, class, z)``.  Labels are label indices."""
-        dispatches, broadcasts = self._dispatches, self._broadcasts
-        solver_bests = self._solver_bests
-        return (iter(self._dicts),
-                zip(count(1), *[iter(dispatches.ids)] * 2, dispatches.ints),
-                self._improvement_rows(),
-                zip(*[iter(broadcasts.ints)] * 2),
-                zip(solver_bests.ints, *[iter(solver_bests.ids)] * 2,
-                    solver_bests.spans()))
+    def improvements(self):
+        """The improvement events, in order, as iteration yields them."""
+        return self._tables["improvement"].read(list(self._labels))
 
     def _merged(self, streams):
-        """The items of ``streams``, one iterator per kind code, merged
-        into the log's order."""
-        takes = [stream.__next__ for stream in streams]
+        """The items of ``streams``, one per kind code, in the log's order."""
+        takes = [iter(stream).__next__ for stream in streams]
         return map(call, map(takes.__getitem__, self._kinds))
 
     def __iter__(self):
         labels = list(self._labels)
-        dicts, dispatches, _, broadcasts, bests = self._tables()
-        return self._merged((
-            dicts,
-            ({"event": "dispatch", "evaluator": labels[evaluator],
-              "solver": labels[solver], "messages": messages,
-              "dispatches": ordinal}
-             for ordinal, evaluator, solver, messages in dispatches),
-            self.improvements(),
-            ({"event": "broadcast", "seq": seq, "delivered": delivered}
-             for seq, delivered in broadcasts),
-            ({"event": "solver-improvement", "solver": labels[solver],
-              "class": labels[solver_class], "seq": seq, "z": z}
-             for seq, solver, solver_class, z in bests),
-        ))
+        return self._merged([self._dicts, *(
+            table.read(labels) for table in self._tables.values())])
 
-    def improvements(self):
-        """The improvement events, in order, as iteration yields them."""
-        labels = list(self._labels)
-        return ({"event": "improvement", "seq": seq, "solver": labels[solver],
-                 "z": z, "g": g, "messages": messages,
-                 "dispatches": dispatches}
-                for seq, messages, dispatches, solver, (g, *z)
-                in self._improvement_rows())
-
-    def write(self, path) -> None:
-        """Write the log as events.log: one JSON object per line, keys
-        sorted, as ``json.dumps(event, sort_keys=True)`` writes each event
-        that iteration yields.
-
-        A row goes through its kind's line template, its labels through
-        ``encode_basestring_ascii`` as ``json.dumps`` encodes strings (the
-        label table once, not each row).  Every other value goes through
-        one ``sorted_encoder``.  The lines are streamed, not joined first:
-        the joined text would add ~7 MB to a hen run's peak RSS.
+    def write(self, path, rendered=None) -> None:
+        """Write events.log: ``json.dumps(event, sort_keys=True)`` of each
+        event that iteration yields, a line each, without building a row's
+        dict.  ``rendered`` maps an event name to the JSON text of its rows'
+        ``floats`` field, in order, where the caller has it.  The lines are
+        streamed: joined, they would add ~7 MB to a hen run's RSS.
         """
         encode = sorted_encoder()
         labels = [encode_basestring_ascii(label) for label in self._labels]
-        dicts, dispatches, improvements, broadcasts, bests = self._tables()
-        lines = self._merged((
-            ("".join(encode(event, 0)) + "\n" for event in dicts),
-            (_DISPATCH_LINE % (ordinal, labels[evaluator], messages,
-                               labels[solver])
-             for ordinal, evaluator, solver, messages in dispatches),
-            (_IMPROVEMENT_LINE % (
-                dispatches, "".join(encode(g, 0)), messages, seq,
-                labels[solver], "".join(encode(z, 0)))
-             for seq, messages, dispatches, solver, (g, *z) in improvements),
-            (_BROADCAST_LINE % (delivered, seq)
-             for seq, delivered in broadcasts),
-            (_SOLVER_BEST_LINE % (labels[solver_class], seq, labels[solver],
-                                  "".join(encode(z, 0)))
-             for seq, solver, solver_class, z in bests),
-        ))
+        rendered = rendered or {}
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(lines)
+            fh.writelines(self._merged([
+                ("".join(encode(event, 0)) + "\n" for event in self._dicts),
+                *(table.lines(labels, encode, rendered.get(event))
+                  for event, table in self._tables.items())]))
+
+
+# Each growing kind; its code in ``EventLog._kinds`` is its place here,
+# from 1, and ``EventLog._tables`` and ``_appends`` keep this order.
+_KINDS = [_Kind(code, *spec) for code, spec in enumerate(_SPECS, 1)]
 
 
 def sorted_encoder():
     """A JSON encoder: ``"".join(encode(obj, 0)) == json.dumps(obj,
-    sort_keys=True)``.
+    sort_keys=True)``, made once a writer, not once a value.
 
-    ``json.dumps`` and ``JSONEncoder.encode`` build a new encoder, and a
-    new circular-reference table, per call; a writer makes this one once.
     It comes from the private ``json.encoder.c_make_encoder``, with the
     arguments ``JSONEncoder(sort_keys=True)`` passes it, alike on Python
     3.11 to 3.13, but no circular-reference table: a record is a tree.
+    Where that name is ``None`` (no C accelerator), it is the pure-Python
+    ``JSONEncoder(sort_keys=True).iterencode``, which writes the same text.
     """
-    return c_make_encoder(None, json.JSONEncoder().default,
-                          encode_basestring_ascii, None, ": ", ", ",
-                          True, False, True)
-
-
-# The events.log line of each kind of row: keys sorted, as json.dumps
-# writes them; labels and numbers come JSON-encoded.
-_DISPATCH_LINE = ('{"dispatches": %d, "evaluator": %s, "event": "dispatch", '
-                  '"messages": %d, "solver": %s}\n')
-_IMPROVEMENT_LINE = ('{"dispatches": %d, "event": "improvement", "g": %s, '
-                     '"messages": %d, "seq": %d, "solver": %s, "z": %s}\n')
-_BROADCAST_LINE = '{"delivered": %d, "event": "broadcast", "seq": %d}\n'
-_SOLVER_BEST_LINE = ('{"class": %s, "event": "solver-improvement", '
-                     '"seq": %d, "solver": %s, "z": %s}\n')
+    make = json.encoder.c_make_encoder
+    if make is None:
+        return lambda obj, _level, iterencode=json.JSONEncoder(
+            sort_keys=True).iterencode: iterencode(obj)
+    return make(None, json.JSONEncoder().default, encode_basestring_ascii,
+                None, ": ", ", ", True, False, True)
 
 
 @dataclass
@@ -350,9 +340,10 @@ class RunRecord:
 
     Every record of ``events`` (an ``EventLog``) is made here, by one
     method per event kind, and each method bumps the counts its event
-    carries; the improvements are counted from the log.  The scheduler
-    counts its messages into ``messages``, and each evaluator counts into
-    the record ``evaluator`` made for it.
+    carries; the improvements are counted from the log.  A growing kind's
+    method passes its fields to the log's adder in its spec's order
+    (``_SPECS``).  The scheduler counts its messages into ``messages``, and
+    each evaluator counts into the record ``evaluator`` made for it.
     ``close`` ends the log with the evaluator records, then one ledger
     record per mailbox.
     """
@@ -390,8 +381,7 @@ class RunRecord:
 
     def improvement(self, evaluation) -> None:
         """An archive improvement: a trace row and an event.  Its ``z``
-        and ``g`` are logged as floats, as ``evaluate_model`` makes them:
-        an int among them reads back as a float (``1`` as ``1.0``)."""
+        and ``g`` are logged as doubles: an int reads back as a float."""
         self.events.improvement(evaluation.seq, evaluation.solver_id,
                                 self.messages, self.dispatches,
                                 evaluation.constraint, evaluation.objectives)

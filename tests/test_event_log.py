@@ -4,7 +4,9 @@ The log keeps dispatch, improvement, broadcast and solver-improvement
 events as rows of column tables and every other event as its dict.  Read
 back, each event must be the dict ``RunRecord`` once built for it
 (``tests/oracles.py``), in order, and ``write`` must give one
-``json.dumps(event, sort_keys=True)`` line per event.
+``json.dumps(event, sort_keys=True)`` line per event.  Each kind's spec
+must name the oracle's fields, so a field added to a spec fails here until
+the oracle covers it.
 """
 
 import json
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 
 from coopt.core import Evaluation, freeze_point
 from coopt.harness import RunReport, write_run_dir
-from coopt.scheduler import RunRecord
+from coopt.scheduler import _KINDS, RunRecord
 from oracles import logged_rows
 
 FLOATS = st.one_of(
@@ -73,6 +75,18 @@ def test_log_reads_and_writes_as_the_dicts_it_replaced(tmp_path_factory,
     log.write(path)
     assert path.read_bytes() == "".join(
         json.dumps(e, sort_keys=True) + "\n" for e in expected).encode()
+
+
+@pytest.mark.parametrize("kind", _KINDS, ids=lambda kind: kind.event)
+def test_each_spec_names_the_fields_of_its_oracle_dict(kind):
+    sample = {"int": 7, "label": "s", "float": 0.5, "floats": [0.25]}
+    args = [sample[type_] for type_ in kind.fields.values()
+            if type_ != "ordinal"]
+    log, [expected] = logged_rows([(kind.method, args)])
+    assert expected["event"] == kind.event
+    assert list(expected) == ["event", *kind.keys]
+    assert sorted(kind.keys) == sorted(kind.fields)
+    assert same(list(log), [expected])
 
 
 BEFORE = [

@@ -77,6 +77,33 @@ def test_inherited_guards_refuse_a_closed_or_nested_loop():
         loop.run_until_complete(future)
 
 
+class _Hider(asyncio.BaseEventLoop):
+    """asyncio's loop without the instance attribute ``hidden``, as a
+    Python whose loop no longer sets it would make it."""
+
+    hidden = ""
+
+    def __init__(self):
+        super().__init__()
+        delattr(self, self.hidden)
+
+
+@pytest.mark.parametrize("name", ["_ready", "_stopping", "_thread_id"])
+def test_a_loop_without_a_private_attribute_is_refused(name):
+    hiding = type("Hiding", (RunLoop, _Hider), {"hidden": name})
+    with pytest.raises(RuntimeError, match=f"has no {name},"):
+        hiding()
+    # The refused loop is collected without an "unclosed loop" warning.
+    gc.collect()
+
+
+def test_a_loop_without_asyncio_s_run_once_is_refused(monkeypatch):
+    monkeypatch.delattr(asyncio.BaseEventLoop, "_run_once")
+    with pytest.raises(RuntimeError, match="has no _run_once,"):
+        RunLoop()
+    gc.collect()
+
+
 def test_exception_in_main_propagates():
     async def main():
         await asyncio.sleep(0)

@@ -5,24 +5,27 @@ and the improvement lines of events.log from those texts.  Its bytes must
 be the ones the plain renderers give (``tests/oracles.py``):
 ``json.dumps(summary, sort_keys=True)``, ``csv.writer`` over
 ``repr(float(v))`` cells, and one ``json.dumps(event, sort_keys=True)``
-per event.  ``coopt report`` must regenerate the same CSVs.
+per event.  ``coopt report`` must regenerate the same CSVs, and a Python
+without the C JSON encoder must write the same bytes.
 """
 
+import json
 import math
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopt.analysis import MULTI, SINGLE, Archive
 from coopt.cli import main as cli_main
 from coopt.core import Evaluation, freeze_point
-from coopt.harness import RunReport, write_run_dir
+from coopt.harness import RunReport, preset_config, run_once, write_run_dir
 from coopt.messaging import Mailbox
-from coopt.scheduler import RunRecord
-from oracles import run_dir_bytes
+from coopt.scheduler import Budget, RunRecord, sorted_encoder
+from oracles import logged_rows, run_dir_bytes
 
 FLOATS = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308,
@@ -138,3 +141,54 @@ def test_float_texts_cover_every_spelling():
     assert b'"point": [NaN, Infinity, -Infinity, -0.0, 5e-324, 1e+300]' \
         in written["report.json"]
     assert b'"g": NaN' in written["events.log"]
+
+
+def without_the_c_encoder(monkeypatch):
+    """Take ``json.encoder.c_make_encoder`` away, as on a Python without
+    the C accelerator, and check that ``sorted_encoder`` falls back."""
+    c_encoder = json.encoder.c_make_encoder
+    assert isinstance(sorted_encoder(), c_encoder)
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    assert not isinstance(sorted_encoder(), c_encoder)
+
+
+@pytest.mark.parametrize("preset, problem, budget, rows", [
+    ("hen-protocol", "sphere-3", Budget.messages(1_500),
+     {"dispatch", "improvement", "solver-improvement"}),
+    ("mutas-protocol", "biobj-quadratic-3", Budget.evaluations(400),
+     {"dispatch", "improvement", "broadcast"}),
+])
+def test_the_pure_python_encoder_writes_the_same_files(tmp_path, monkeypatch,
+                                                       preset, problem,
+                                                       budget, rows):
+    report = run_once(preset_config(preset, problem, budget=budget, seed=1),
+                      0)
+    assert rows <= {e["event"] for e in report.events}
+
+    def files(run_dir):
+        write_run_dir(run_dir, report)
+        return {path.name: path.read_bytes() for path in run_dir.iterdir()}
+
+    with_c = files(tmp_path / "c")
+    without_the_c_encoder(monkeypatch)
+    assert files(tmp_path / "python") == with_c
+    assert len(with_c) == 4
+
+
+def test_the_pure_python_encoder_writes_the_same_log(tmp_path, monkeypatch):
+    values = [math.nan, math.inf, -math.inf, -0.0, 5e-324]
+    log, _ = logged_rows([
+        ("append", ({"event": "run-start", "problem": "é☃",
+                     "initial_population": [values]},)),
+        ("dispatch", ("évaluateur", "\U0001f600", 2**63 - 1)),
+        ("improvement", (1, "é☃", 2, 1, math.nan, values)),
+        ("broadcast", (1, -2**63)),
+        ("solver_improvement", (2, "\U0001f600", "MH", [-0.0, math.inf])),
+        ("append", ({"event": "mailbox", "mailbox": "\x00\n",
+                     "x": -math.inf},)),
+    ])
+    log.write(tmp_path / "c.log")
+    without_the_c_encoder(monkeypatch)
+    log.write(tmp_path / "python.log")
+    assert (tmp_path / "python.log").read_bytes() \
+        == (tmp_path / "c.log").read_bytes()
