@@ -7,20 +7,14 @@ callback on the way.  ``RunLoop`` keeps the FIFO and drops the rest:
 one ``_run_once`` pops and runs them in that order until the loop is
 stopped.  So the interleaving, and every byte a run writes, stays the same.
 
-asyncio's C ``Future`` calls ``loop.get_debug()`` for each future it
-builds, and a hen run builds ~90k of them.  So ``create_future`` and
-``get_debug`` are answered by C callables, not Python methods: a
-``functools.partial`` of ``Future`` bound to the loop, and the
-``__next__`` of an ``itertools.repeat`` of the debug flag, renewed by
-each ``set_debug``.  The partial holds the loop, so ``close`` drops it.
-
 The rest is ``asyncio.BaseEventLoop``'s: ``run_until_complete`` and its
-guards, asyncio's C ``Future`` and ``Task``, the async-generator hooks,
-and the exception handler that logs to the ``asyncio`` logger.  The
-loop relies on four private names, alike on Python 3.11 to 3.13: the
-``_run_once`` step it replaces, the ``_ready`` deque, the ``_stopping`` flag
-set once ``run_until_complete``'s future is done, and ``_thread_id``.  A
-RunLoop refuses to be made without one: ``RuntimeError`` names it.
+guards, ``create_future``, the debug flag and ``close``, asyncio's C
+``Future`` and ``Task``, the async-generator hooks, and the exception
+handler that logs to the ``asyncio`` logger.  The loop relies on four
+private names, alike on Python 3.11 to 3.13: the ``_run_once`` step it
+replaces, the ``_ready`` deque, the ``_stopping`` flag set once
+``run_until_complete``'s future is done, and ``_thread_id``.  A RunLoop
+refuses to be made without one: ``RuntimeError`` names it.
 
 An empty ready queue while the main task is unfinished is an exact
 deadlock, so the loop raises ``Stalled`` instead of hanging.  Timers and
@@ -31,8 +25,6 @@ from __future__ import annotations
 
 import asyncio
 import contextvars
-import functools
-import itertools
 import threading
 
 
@@ -51,17 +43,6 @@ class RunLoop(asyncio.BaseEventLoop):
                 self._closed = True  # so __del__ neither warns nor closes it
                 raise RuntimeError(f"asyncio's event loop has no {name}, "
                                    "which a RunLoop relies on")
-        self.create_future = functools.partial(asyncio.Future, loop=self)
-
-    def set_debug(self, enabled):
-        super().set_debug(enabled)
-        self.get_debug = itertools.repeat(enabled).__next__
-
-    def close(self):
-        super().close()
-        # Break the loop -> partial -> loop cycle: the class's
-        # create_future answers from here on.
-        self.__dict__.pop("create_future", None)
 
     def call_soon(self, callback, *args, context=None):
         # No Handle is returned: nothing in a run cancels a callback.
@@ -108,7 +89,13 @@ def run(main):
     cancels the tasks still pending, closes the open async generators and
     closes the loop, also after a stalled run raises ``Stalled``.  In the
     main thread the first Ctrl-C cancels ``main``, so every ``finally``
-    runs, and then raises ``KeyboardInterrupt``.
+    runs, and then raises ``KeyboardInterrupt``.  If no ``RunLoop`` can
+    be made, ``main`` is closed unstarted and the ``RuntimeError`` raised.
     """
-    with asyncio.Runner(loop_factory=RunLoop) as runner:
+    try:
+        loop = RunLoop()
+    except RuntimeError:
+        main.close()
+        raise
+    with asyncio.Runner(loop_factory=lambda: loop) as runner:
         return runner.run(main)

@@ -104,6 +104,23 @@ def test_a_loop_without_asyncio_s_run_once_is_refused(monkeypatch):
     gc.collect()
 
 
+def test_a_refused_loop_closes_main_unstarted(monkeypatch):
+    started = []
+
+    async def main():
+        started.append(True)
+
+    def refused():
+        with pytest.raises(RuntimeError, match="has no _ready,"):
+            runloop.run(main())
+
+    hiding = type("Hiding", (RunLoop, _Hider), {"hidden": "_ready"})
+    monkeypatch.setattr(runloop, "RunLoop", hiding)
+    # No "coroutine 'main' was never awaited" reaches the hook.
+    assert unraisable_during(refused) == (None, [])
+    assert started == []
+
+
 def test_exception_in_main_propagates():
     async def main():
         await asyncio.sleep(0)
