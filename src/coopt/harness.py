@@ -37,6 +37,7 @@ import asyncio
 import codecs
 import csv
 import itertools
+import json
 import re
 import time
 from dataclasses import dataclass, replace
@@ -55,7 +56,7 @@ from coopt.messaging import Mailbox, MailboxClosed
 from coopt.metrics import MEASURES, front_measures
 from coopt.problems import front_samples, registry_get
 from coopt.scheduler import (Budget, EventLog, RunRecord, SchedulerState,
-                              scheduler_loop, sorted_encoder)
+                              json_floats, scheduler_loop)
 from coopt.solvers import SolverConfig, solver_loop
 
 MODES = (("independent", False), ("cooperating", True))
@@ -530,9 +531,6 @@ def front_metrics(objective_points, problem_name: str) -> dict:
 
 # ------------------------------------------------------------------ reports
 
-# json.dumps's spelling of the non-finite floats, which repr spells nan,
-# inf and -inf.
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 # A trace row's and an archive member's report.json item: keys sorted, as
 # json.dumps writes them.
 _TRACE_ITEM = ('{"class": %s, "dispatches": %d, "instance_label": %s, '
@@ -549,16 +547,6 @@ def _float_cell(value) -> str:
 def _float_cells(values):
     """``_float_cell`` of each value, without a Python call per value."""
     return map(repr, map(float, values))
-
-
-def _json_float(cell: str) -> str:
-    """A float cell as json.dumps spells the float."""
-    return _JSON_NONFINITE.get(cell, cell)
-
-
-def _json_floats(cells) -> str:
-    """The items of a JSON array of float cells."""
-    return ", ".join(map(_JSON_NONFINITE.get, cells, cells))
 
 
 def _write_csv(path, header: list, rows) -> None:
@@ -616,13 +604,12 @@ def _write_trace_csv(path, trace: list[dict]) -> list[str]:
     """Write trace.csv; return each row's ``z`` as its JSON array text."""
     header, rows = _trace_table(trace)
     _write_csv(path, header, rows)
-    return [f"[{_json_floats(cells[3:-2])}]" for cells in rows]
+    return ["[%s]" % ", ".join(json_floats(cells[3:-2])) for cells in rows]
 
 
 def _write_report_json(path, fields: dict, arrays: dict) -> None:
     """Write ``json.dumps({**fields, **arrays}, sort_keys=True) + "\n"``,
     where each array is given as its items' JSON texts, and stream it."""
-    encode = sorted_encoder()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         separator = "{"
         for key in sorted([*fields, *arrays]):
@@ -634,7 +621,7 @@ def _write_report_json(path, fields: dict, arrays: dict) -> None:
                 fh.writelines(", " + item for item in items)
                 fh.write("]")
             else:
-                fh.writelines(encode(fields[key], 0))
+                fh.write(json.dumps(fields[key], sort_keys=True))
         fh.write("}\n")
 
 
@@ -644,9 +631,9 @@ def write_run_dir(run_dir, report: RunReport) -> Path:
     Each float of the trace's ``z`` and of the archive members is rendered
     once, as ``_float_cell`` renders it.  The CSV rows hold those texts.
     report.json's ``trace`` and ``archive`` arrays are built from them, with
-    the non-finite ones spelled as ``json.dumps`` spells them, and each
-    trace row's ``z`` text is also its improvement's ``z`` in events.log.
-    Every other report.json value goes through one ``sorted_encoder``.  The
+    each float spelled by ``json_floats``, and each trace row's ``z`` text
+    is also its improvement's ``z`` in events.log.  Every other report.json
+    value is written by ``json.dumps(value, sort_keys=True)``.  The
     values are floats, as ``evaluate_model`` makes them, and the bytes are
     those of ``json.dumps(summary, sort_keys=True) + "\n"`` for the summary
     of every key here, of ``write_run_csvs`` on that summary, and of
@@ -680,11 +667,13 @@ def write_run_dir(run_dir, report: RunReport) -> Path:
             encode_basestring_ascii(row["class"]), row["dispatches"],
             encode_basestring_ascii(row["instance_label"]), row["messages"],
             row["seq"], z) for row, z in zip(trace, z_arrays)),
+        # A member's float texts: its point's, its objectives' and its g.
         "archive": (_MEMBER_ITEM % (
-            _json_float(cells[-3]), _json_floats(cells[len(m.point):-3]),
-            _json_floats(cells[:len(m.point)]), m.seq,
+            texts[-1], ", ".join(texts[len(m.point):-1]),
+            ", ".join(texts[:len(m.point)]), m.seq,
             encode_basestring_ascii(m.solver_id))
-            for m, cells in zip(members, rows)),
+            for m, cells in zip(members, rows)
+            for texts in ([*json_floats(cells[:-2])],)),
     })
     return run_dir
 

@@ -15,7 +15,7 @@ import keyword
 from array import array
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from itertools import chain, pairwise, repeat
+from itertools import chain, pairwise
 from json.encoder import encode_basestring_ascii
 from operator import call
 from typing import Any, NamedTuple, Optional
@@ -208,9 +208,8 @@ class _Table:
             if self.kind.fields[name] == "floats":
                 del self.floats[column[-1] if column else 0:]
 
-    def values(self, name: str, labels: list, encode=None):
-        """Field ``name`` of each row: a label as its entry in ``labels``,
-        and a float, given ``encode`` (a ``sorted_encoder``), as JSON text."""
+    def values(self, name: str, labels: list):
+        """Field ``name`` of each row, a label as its entry in ``labels``."""
         type_ = self.kind.fields[name]
         if type_ == "ordinal":
             return range(1, len(self) + 1)
@@ -218,25 +217,35 @@ class _Table:
         if type_ == "label":
             return map(labels.__getitem__, column)
         if type_ == "floats":
-            column = (self.floats[start:end].tolist()
-                      for start, end in pairwise(chain((0,), column)))
-        if encode is None or type_ == "int":
-            return column
-        return map("".join, map(encode, column, repeat(0)))
+            return (self.floats[start:end].tolist()
+                    for start, end in pairwise(chain((0,), column)))
+        return column
 
     def read(self, labels: list):
         """The rows as the dicts that iteration yields."""
         return self.kind.read(zip(*(self.values(key, labels)
                                     for key in self.kind.keys)))
 
-    def lines(self, labels: list, encode, floats=None):
+    def lines(self, labels: list, floats=None):
         """The rows' events.log lines, given the labels' JSON texts and,
         where the caller has them, those of the ``floats`` field."""
-        fields = self.kind.fields
         return map(self.kind.line.__mod__, zip(*(
-            floats if floats is not None and fields[name] == "floats"
-            else self.values(name, labels, encode)
-            for name in sorted(fields)), strict=True))
+            self._json(name, labels, floats)
+            for name in sorted(self.kind.fields)), strict=True))
+
+    def _json(self, name: str, labels: list, floats):
+        """Field ``name`` of each row as JSON text (or as an int)."""
+        type_ = self.kind.fields[name]
+        if type_ == "float":
+            return json_floats([*map(repr, self.columns[name])])
+        if type_ != "floats":
+            return self.values(name, labels)
+        if floats is not None:
+            return floats
+        ends = self.columns[name]
+        cells = [*json_floats([*map(repr, self.floats)])]
+        return map("[%s]".__mod__, map(", ".join, map(
+            cells.__getitem__, map(slice, chain((0,), ends), ends))))
 
 
 class EventLog:
@@ -296,42 +305,37 @@ class EventLog:
 
     def write(self, path, rendered=None) -> None:
         """Write events.log: ``json.dumps(event, sort_keys=True)`` of each
-        event that iteration yields, a line each, without building a row's
-        dict.  ``rendered`` maps an event name to the JSON text of its rows'
-        ``floats`` field, in order, where the caller has it.  The lines are
-        streamed: joined, they would add ~7 MB to a hen run's RSS.
+        event that iteration yields, a line each.  A growing kind's line is
+        made from its columns, without building its dict, each float
+        spelled by ``json_floats``.  ``rendered`` maps an event name to the
+        JSON text of its rows' ``floats`` field, in order, where the caller
+        has it.  The lines are streamed: joined, they would add ~7 MB to a
+        hen run's RSS.
         """
-        encode = sorted_encoder()
         labels = [encode_basestring_ascii(label) for label in self._labels]
         rendered = rendered or {}
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(self._merged([
-                ("".join(encode(event, 0)) + "\n" for event in self._dicts),
-                *(table.lines(labels, encode, rendered.get(event))
+                (json.dumps(event, sort_keys=True) + "\n"
+                 for event in self._dicts),
+                *(table.lines(labels, rendered.get(event))
                   for event, table in self._tables.items())]))
+
+
+# json.dumps's spelling of the non-finite floats, which repr spells nan,
+# inf and -inf.
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def json_floats(cells):
+    """A sequence of float cells, each the float's ``repr``, as
+    ``json.dumps`` spells those floats, without a Python call per cell."""
+    return map(_JSON_NONFINITE.get, cells, cells)
 
 
 # Each growing kind; its code in ``EventLog._kinds`` is its place here,
 # from 1, and ``EventLog._tables`` and ``_appends`` keep this order.
 _KINDS = [_Kind(code, *spec) for code, spec in enumerate(_SPECS, 1)]
-
-
-def sorted_encoder():
-    """A JSON encoder: ``"".join(encode(obj, 0)) == json.dumps(obj,
-    sort_keys=True)``, made once a writer, not once a value.
-
-    It comes from the private ``json.encoder.c_make_encoder``, with the
-    arguments ``JSONEncoder(sort_keys=True)`` passes it, alike on Python
-    3.11 to 3.13, but no circular-reference table: a record is a tree.
-    Where that name is ``None`` (no C accelerator), it is the pure-Python
-    ``JSONEncoder(sort_keys=True).iterencode``, which writes the same text.
-    """
-    make = json.encoder.c_make_encoder
-    if make is None:
-        return lambda obj, _level, iterencode=json.JSONEncoder(
-            sort_keys=True).iterencode: iterencode(obj)
-    return make(None, json.JSONEncoder().default, encode_basestring_ascii,
-                None, ": ", ", ", True, False, True)
 
 
 @dataclass

@@ -4,9 +4,13 @@ import codecs
 import gc
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -559,6 +563,16 @@ def test_cli_presets(capsys):
     assert cli_main(["presets"]) == 0
     out = capsys.readouterr().out
     assert "hen-protocol" in out and "mutas-protocol" in out
+
+
+def test_python_m_coopt_runs_the_cli():
+    # README's offline route: PYTHONPATH=src python -m coopt ...
+    done = subprocess.run(
+        [sys.executable, "-m", "coopt", "presets"],
+        cwd=Path(__file__).resolve().parents[1], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": "src"}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "hen-protocol" in done.stdout and "mutas-protocol" in done.stdout
 
 
 @pytest.mark.parametrize("head, n_obj", [

@@ -231,8 +231,8 @@ def test_futures_record_their_source_only_in_debug_mode():
 
 
 def test_a_closed_loop_is_freed_without_the_collector():
-    # create_future holds the loop; close must break that cycle, so a
-    # closed loop goes as soon as its last reference does.
+    # asyncio's own create_future and close leave no reference cycle, so
+    # a closed loop goes as soon as its last reference does.
     async def main():
         return weakref.ref(asyncio.get_running_loop())
 

@@ -24,7 +24,7 @@ from coopt.cli import main as cli_main
 from coopt.core import Evaluation, freeze_point
 from coopt.harness import RunReport, preset_config, run_once, write_run_dir
 from coopt.messaging import Mailbox
-from coopt.scheduler import Budget, RunRecord, sorted_encoder
+from coopt.scheduler import Budget, RunRecord
 from oracles import logged_rows, run_dir_bytes
 
 FLOATS = st.one_of(
@@ -144,12 +144,9 @@ def test_float_texts_cover_every_spelling():
 
 
 def without_the_c_encoder(monkeypatch):
-    """Take ``json.encoder.c_make_encoder`` away, as on a Python without
-    the C accelerator, and check that ``sorted_encoder`` falls back."""
-    c_encoder = json.encoder.c_make_encoder
-    assert isinstance(sorted_encoder(), c_encoder)
+    """Hide the C accelerator from ``json``, as on a Python without it: its
+    ``json.dumps`` then takes the pure-Python route."""
     monkeypatch.setattr(json.encoder, "c_make_encoder", None)
-    assert not isinstance(sorted_encoder(), c_encoder)
 
 
 @pytest.mark.parametrize("preset, problem, budget, rows", [
