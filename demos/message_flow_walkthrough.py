@@ -152,7 +152,8 @@ def full_run():
           dict(Counter(e["event"] for e in events)))
 
     print("\nthe record's counters:", record.counters())
-    print("dispatches per solver:", dict(record.solver_dispatches))
+    print("dispatches per solver:", dict(Counter(
+        solver for solver, in events.rows("dispatch", "solver"))))
     for counts in record.evaluators.values():
         print(f"  {counts['evaluator']}: {counts['evaluations']} evaluations,"
               f" {counts['replies_delivered']} replies delivered")
@@ -160,7 +161,7 @@ def full_run():
     print(f"best of the run: f = {best.objectives[0]:.6f} at "
           f"{np.round(best.point, 4).tolist()} (found by {best.solver_id})")
     print("improvement history:",
-          [f"{e['z'][0]:.3f}" for e in record.events.improvements()])
+          [f"{z[0]:.3f}" for z, in events.rows("improvement", "z")])
 
     print("\nper-mailbox ledger (puts == takes + drops + queued):")
     for s in (e for e in events if e["event"] == "mailbox"):

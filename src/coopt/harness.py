@@ -40,6 +40,7 @@ import itertools
 import json
 import re
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import partial
 from json.encoder import encode_basestring_ascii
@@ -127,7 +128,7 @@ class RunReport:
     sharing: bool
     archive: Optional[Archive]  # None if the run was aborted
     solver_classes: dict[str, str]  # solver label -> "MH" or "DS"
-    per_solver_evaluations: dict[str, int]
+    per_solver_evaluations: dict[str, int]  # in first-dispatch order
     counters: dict
     metrics_row: Optional[dict]
     wall_time: float
@@ -500,7 +501,8 @@ def run_once(cfg: RunConfig, rep_index: int) -> RunReport:
         problem=cfg.problem, mode=mode, rep_index=rep_index,
         sharing=cfg.sharing, archive=archive,
         solver_classes=classes,
-        per_solver_evaluations=dict(record.solver_dispatches),
+        per_solver_evaluations=dict(Counter(itertools.chain.from_iterable(
+            record.events.rows("dispatch", "solver")))),
         counters=record.counters(), metrics_row=metrics_row,
         wall_time=wall_time, valid=not errors,
         error="; ".join(f"{type(e).__name__}: {e}" for e in errors),

@@ -13,7 +13,7 @@ import asyncio
 import json
 import keyword
 from array import array
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain, pairwise
 from json.encoder import encode_basestring_ascii
@@ -110,30 +110,27 @@ class Budget:
 
 
 # Each event kind whose count grows with the run, as a spec: its event
-# name; its fields, in its adder's argument order, as ``name:type``; and
-# its dicts' key order, where that differs.  Each field type's column is
-# an array of the typecode ``_TYPECODES`` gives: an ``int`` is a signed
-# 64-bit integer, a ``label`` its index in the log's label table (32-bit
-# unsigned: the solver count has no bound) and a ``float`` a double (an
-# int reads back as a float).  A ``floats`` field's column holds where
-# each row's doubles end in its table's ``floats``.  An ``ordinal`` is the
-# row's number, from 1, kept nowhere: ``RunRecord.dispatch`` counts, then
-# logs.
+# name, and its fields as ``name:type``, in its dicts' key order, which is
+# its adder's argument order.  Each field type's column is an array of the
+# typecode ``_TYPECODES`` gives: an ``int`` is a signed 64-bit integer, a
+# ``label`` its index in the log's label table (32-bit unsigned: the
+# solver count has no bound) and a ``float`` a double (an int reads back
+# as a float).  A ``floats`` field's column holds where each row's doubles
+# end in its table's ``floats``.  An ``ordinal`` is the row's number, from
+# 1, kept nowhere: ``RunRecord.dispatch`` counts, then logs.
 _SPECS = (
     ("dispatch",
-     "evaluator:label solver:label messages:int dispatches:ordinal", ""),
+     "evaluator:label solver:label messages:int dispatches:ordinal"),
     ("improvement",
-     "seq:int solver:label messages:int dispatches:int g:float z:floats",
-     "seq solver z g messages dispatches"),
-    ("broadcast", "seq:int delivered:int", ""),
-    ("solver-improvement", "seq:int solver:label class:label z:floats",
-     "solver class seq z"),
+     "seq:int solver:label z:floats g:float messages:int dispatches:int"),
+    ("broadcast", "seq:int delivered:int"),
+    ("solver-improvement", "solver:label class:label seq:int z:floats"),
 )
 _TYPECODES = {"int": "q", "label": "I", "float": "d", "floats": "I"}
 # A kind's ``EventLog`` adder, given the bound ``append``s of the kind
 # column and its columns (a value that its column cannot hold raises, and
 # the table is cut back to its whole rows), and its reader of rows, fields
-# in key order, as dicts.
+# in order, as dicts.
 _CODE = '''def {method}(self, {args}):
     """Log a {event} row; its spec in ``_SPECS`` names its fields."""
     labels = self._labels
@@ -157,11 +154,10 @@ class _Kind:
     """One growing kind's spec, and what it makes: its ``EventLog`` adder,
     set on that class, its dict reader and its events.log line template."""
 
-    def __init__(self, code: int, event: str, fields: str, keys: str):
+    def __init__(self, code: int, event: str, fields: str):
         self.event = event
         self.method = event.replace("-", "_")
         self.fields = dict(field.split(":") for field in fields.split())
-        self.keys = keys.split() or list(self.fields)
         self.line = "{%s}\n" % ", ".join(  # keys sorted
             f"{json.dumps(key)}: " + ("%s" if key in self.fields
                                       else json.dumps(event))
@@ -179,8 +175,8 @@ class _Kind:
                 "\n        " + _APPEND[self.fields[name]].format(
                     append=f"_{i}", arg=local[name], event=event)
                 for i, name in enumerate(stored)),
-            items=", ".join(f'"{key}": {local[key]}' for key in self.keys),
-            keys=", ".join(local[key] for key in self.keys)), namespace)
+            items=", ".join(f'"{key}": {local[key]}' for key in self.fields),
+            keys=", ".join(local.values())), namespace)
         setattr(EventLog, self.method, namespace[self.method])
         self.read = namespace["read"]
 
@@ -223,8 +219,8 @@ class _Table:
 
     def read(self, labels: list):
         """The rows as the dicts that iteration yields."""
-        return self.kind.read(zip(*(self.values(key, labels)
-                                    for key in self.kind.keys)))
+        return self.kind.read(zip(*(self.values(name, labels)
+                                    for name in self.kind.fields)))
 
     def lines(self, labels: list, floats=None):
         """The rows' events.log lines, given the labels' JSON texts and,
@@ -281,17 +277,16 @@ class EventLog:
     def __len__(self) -> int:
         return len(self._kinds)
 
-    def improvement_count(self) -> int:
-        return len(self._tables["improvement"])
+    def count(self, event: str) -> int:
+        """The number of ``event`` events."""
+        if event in self._tables:
+            return len(self._tables[event])
+        return sum(e["event"] == event for e in self._dicts)
 
     def rows(self, event: str, *names):
         """The ``event`` rows, in order, as tuples of the fields ``names``."""
         table, labels = self._tables[event], list(self._labels)
         return zip(*(table.values(name, labels) for name in names))
-
-    def improvements(self):
-        """The improvement events, in order, as iteration yields them."""
-        return self._tables["improvement"].read(list(self._labels))
 
     def _merged(self, streams):
         """The items of ``streams``, one per kind code, in the log's order."""
@@ -343,11 +338,13 @@ class RunRecord:
     """One run's event log and counts, written into as the run goes.
 
     Every record of ``events`` (an ``EventLog``) is made here, by one
-    method per event kind, and each method bumps the counts its event
-    carries; the improvements are counted from the log.  A growing kind's
-    method passes its fields to the log's adder in its spec's order
-    (``_SPECS``).  The scheduler counts its messages into ``messages``, and
-    each evaluator counts into the record ``evaluator`` made for it.
+    method per event kind.  A growing kind's method passes its fields to
+    the log's adder in its spec's order (``_SPECS``).  A count is kept
+    here only when the run reads it while it runs or no row holds it:
+    the scheduler counts its messages into ``messages`` and its
+    dispatches into ``dispatches`` (both budgets), and each evaluator
+    counts into the record ``evaluator`` made for it.  Every other total
+    (``counters``, the per-solver dispatches) is read from the rows.
     ``close`` ends the log with the evaluator records, then one ledger
     record per mailbox.
     """
@@ -357,9 +354,6 @@ class RunRecord:
     events: EventLog = field(default_factory=EventLog)
     messages: int = 0
     dispatches: int = 0
-    broadcasts: int = 0
-    refusals: int = 0
-    solver_dispatches: Counter = field(default_factory=Counter)
 
     def run_start(self, problem: str, mode: str, rep_index: int,
                   solvers: list[str], initial_points) -> None:
@@ -380,28 +374,25 @@ class RunRecord:
     def dispatch(self, evaluator: str, solver: str) -> None:
         """Count a dispatch and log it as its row."""
         self.dispatches += 1
-        self.solver_dispatches[solver] += 1
         self.events.dispatch(evaluator, solver, self.messages)
 
     def improvement(self, evaluation) -> None:
         """An archive improvement: a trace row and an event.  Its ``z``
         and ``g`` are logged as doubles: an int reads back as a float."""
         self.events.improvement(evaluation.seq, evaluation.solver_id,
-                                self.messages, self.dispatches,
-                                evaluation.constraint, evaluation.objectives)
+                                evaluation.objectives, evaluation.constraint,
+                                self.messages, self.dispatches)
 
     def broadcast(self, seq: int, delivered: int) -> None:
         self.events.broadcast(seq, delivered)
-        self.broadcasts += delivered
 
     def refusal(self, solver: str) -> None:
-        self.refusals += 1
         self.events.append({"event": "refusal", "solver": solver})
 
     def solver_improvement(self, label: str, solver_class: str,
                            evaluation) -> None:
         """A new best of one solver's own."""
-        self.events.solver_improvement(evaluation.seq, label, solver_class,
+        self.events.solver_improvement(label, solver_class, evaluation.seq,
                                        evaluation.objectives)
 
     def counters(self) -> dict:
@@ -409,9 +400,10 @@ class RunRecord:
         return {
             "messages": self.messages,
             "dispatches": self.dispatches,
-            "broadcasts": self.broadcasts,
-            "refusals": self.refusals,
-            "improvements": self.events.improvement_count(),
+            "broadcasts": sum(chain.from_iterable(
+                self.events.rows("broadcast", "delivered"))),
+            "refusals": self.events.count("refusal"),
+            "improvements": self.events.count("improvement"),
         }
 
     def terminated(self) -> None:

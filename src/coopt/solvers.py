@@ -277,6 +277,7 @@ async def pso_step(swarm: list[SwarmMember], cfg: SolverConfig,
     best = _layer_order([m.evaluation for m in swarm])[0]
     global_best = swarm[best].evaluation
     clamp = domain.ranges
+    floor = -clamp
     for member in swarm:
         r1 = rng.random(domain.size)
         r2 = rng.random(domain.size)
@@ -284,7 +285,8 @@ async def pso_step(swarm: list[SwarmMember], cfg: SolverConfig,
                     + PSO_COGNITIVE * r1 * (member.personal_best.point
                                             - member.position)
                     + PSO_SOCIAL * r2 * (global_best.point - member.position))
-        member.velocity = np.clip(velocity, -clamp, clamp)
+        # ``np.clip``'s bits at less cost, as in ``Domain.clip``.
+        member.velocity = np.minimum(np.maximum(velocity, floor), clamp)
         member.position = domain.clip(member.position + member.velocity)
         member.evaluation = await evaluate(member.position)
         if dominates(member.evaluation, member.personal_best):

@@ -302,7 +302,7 @@ def logged_rows(steps):
                              "solver": solver, "messages": messages,
                              "dispatches": dispatches})
         elif method == "improvement":
-            seq, solver, messages, dispatched, g, z = args
+            seq, solver, z, g, messages, dispatched = args
             expected.append({"event": "improvement", "seq": seq,
                              "solver": solver, "z": [float(v) for v in z],
                              "g": float(g), "messages": messages,
@@ -312,7 +312,7 @@ def logged_rows(steps):
             expected.append({"event": "broadcast", "seq": seq,
                              "delivered": delivered})
         else:
-            seq, solver, solver_class, z = args
+            solver, solver_class, seq, z = args
             expected.append({"event": "solver-improvement", "solver": solver,
                              "class": solver_class, "seq": seq,
                              "z": [float(v) for v in z]})
@@ -342,6 +342,44 @@ def report_summary(report):
             for m in members
         ],
     }
+
+
+def run_faults(summary, events):
+    """The invariants a run breaks, a line of text each (none: it keeps
+    them all), given its report.json (or ``report_summary``) and events.
+
+    Every mailbox ledger balances; each evaluator evaluated, replied and
+    notified the analysis agent alike, and the evaluations sum to the
+    dispatches; the share rings took just the broadcasts; and a valid
+    run's trace holds every member of its archive, and its ``terminated``
+    event gives its counters.
+    """
+    counters, kinds = summary["counters"], {}
+    for event in events:
+        kinds.setdefault(event["event"], []).append(event)
+    ledgers, evaluators = kinds.get("mailbox", []), kinds.get("evaluator", [])
+    faults = [f"unbalanced ledger {r}" for r in ledgers
+              if r["puts"] != r["takes"] + r["drops"] + r["queued"]]
+    faults += [f"evaluator counts disagree {r}" for r in evaluators
+               if not r["evaluations"] == r["replies_delivered"]
+               == r["analysis_sent"]]
+    evaluations = sum(r["evaluations"] for r in evaluators)
+    shared = sum(r["puts"] for r in ledgers
+                 if r["mailbox"].startswith("share:"))
+    if evaluations != counters["dispatches"]:
+        faults.append(f"{evaluations} evaluations, {counters['dispatches']}"
+                      " dispatches")
+    if shared != counters["broadcasts"]:
+        faults.append(f"{shared} share-ring puts, {counters['broadcasts']}"
+                      " broadcasts")
+    if summary["valid"]:
+        traced = {row["seq"] for row in summary["trace"]}
+        faults += [f"archive member {m['seq']} not traced"
+                   for m in summary["archive"] if m["seq"] not in traced]
+        if kinds.get("terminated") != [{"event": "terminated", **counters}]:
+            faults.append(f"terminated {kinds.get('terminated')}, counters "
+                          f"{counters}")
+    return faults
 
 
 def run_dir_bytes(report):

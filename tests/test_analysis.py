@@ -116,7 +116,7 @@ async def _drive(stream, mode=SINGLE):
     while (m := sched.take_nowait()) is not None:
         notifications.append(m)
     # The open inbox took every one.
-    assert not record.events.improvement_count()
+    assert not record.events.count("improvement")
     return final, notifications
 
 
@@ -162,9 +162,8 @@ def test_loop_survives_closed_scheduler_inbox():
 
     snapshot = run(go())
     assert snapshot.best.objectives == (1.0,)
-    assert [(e["seq"], e["z"]) for e in record.events.improvements()] == [
-        (1, [2.0]), (3, [1.0])]
-    assert list(record.events) == list(record.events.improvements())
+    assert [(e["event"], e["seq"], e["z"]) for e in record.events] == [
+        ("improvement", 1, [2.0]), ("improvement", 3, [1.0])]
 
 
 def test_large_archive_repr_is_short():

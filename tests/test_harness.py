@@ -29,7 +29,7 @@ from coopt.harness import (
 from coopt.metrics import MEASURES
 from coopt.scheduler import Budget, EventLog
 from coopt.solvers import SolverConfig
-from oracles import logged_events
+from oracles import logged_events, report_summary, run_faults
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -308,16 +308,17 @@ def test_paired_modes_share_the_initial_population():
 def test_independent_mode_never_broadcasts():
     report = run_once(replace(SMALL, sharing=False), 0)
     assert report.valid
-    assert report.counters["broadcasts"] == 0
-    assert not [e for e in report.events if e["event"] == "broadcast"]
+    assert not report.events.count("broadcast")
 
 
 def test_cooperating_mode_broadcasts_every_improvement():
+    # Each improvement until the budget is spent, to every solver.
     report = run_once(replace(SMALL, sharing=True), 0)
     assert report.counters["improvements"] >= 2
-    delivered = sum(e["delivered"] for e in report.events
-                    if e["event"] == "broadcast")
-    assert delivered == report.counters["broadcasts"] > 0
+    shared = list(report.events.rows("broadcast", "seq", "delivered"))
+    improved = list(report.events.rows("improvement", "seq"))
+    assert [(seq,) for seq, _ in shared] == improved[:len(shared)]
+    assert {delivered for _, delivered in shared} == {len(SMALL.solvers)}
 
 
 def test_trace_is_strictly_improving_and_ends_at_best():
@@ -345,13 +346,7 @@ def test_message_budget_bounds_the_main_loop():
 
 def test_events_conserve_messages():
     report = run_once(SMALL, 0)
-    for record in report.events:
-        if record.get("event") == "mailbox":
-            assert record["puts"] == \
-                record["takes"] + record["drops"] + record["queued"], record
-        if record.get("event") == "evaluator":
-            assert record["evaluations"] == record["replies_delivered"] \
-                == record["analysis_sent"]
+    assert not run_faults(report_summary(report), report.events)
 
 
 @pytest.mark.parametrize("sharing", [False, True],

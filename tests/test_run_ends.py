@@ -34,6 +34,7 @@ from coopt.harness import (RunConfig, preset_config, run_agents,
 from coopt.problems import registry_get
 from coopt.scheduler import P_MAX, Budget
 from coopt.solvers import SOLVER_KINDS, SolverConfig, solver_loop
+from oracles import report_summary, run_faults
 
 CFG = preset_config("hen-protocol", "sphere-3", budget=Budget.messages(2000))
 SPHERE3 = registry_get("sphere-3")
@@ -147,8 +148,8 @@ def test_one_solver_raising_aborts_the_run(monkeypatch):
     assert_aborted(agents, archive, errors, RuntimeError)
     assert len(errors) == 1
     # The others ran: every solver had evaluations before the abort.
-    assert set(agents.state.record.solver_dispatches) == {
-        sc.label for sc in CFG.solvers}
+    assert set(agents.state.record.events.rows("dispatch", "solver")) == {
+        (sc.label,) for sc in CFG.solvers}
 
 
 def test_model_exception_on_first_call_is_a_sentinel_evaluation():
@@ -156,9 +157,9 @@ def test_model_exception_on_first_call_is_a_sentinel_evaluation():
     archive, errors = run(agents, solvers)
     assert not errors
     assert agents.state.record.messages >= CFG.budget.limit  # ran to budget
-    improvements = list(agents.state.record.events.improvements())
-    assert (improvements[0]["seq"], improvements[0]["z"]) == (1, [math.inf])
-    assert improvements[0]["g"] == math.inf
+    first = next(agents.state.record.events.rows("improvement", "seq", "z",
+                                                  "g"))
+    assert first == (1, [math.inf], math.inf)
     assert not archive.best.failed
 
 
@@ -273,12 +274,9 @@ def test_stalled_run_is_flagged_in_both_modes(tmp_path, caplog):
         assert report["trace"]
         records = [json.loads(line) for line in
                    (run_dir / "events.log").read_text().splitlines()]
-        evaluators = [r for r in records if r["event"] == "evaluator"]
-        ledgers = [r for r in records if r["event"] == "mailbox"]
-        assert len(evaluators) == 2 and len(ledgers) == 4
-        assert records[-len(ledgers):] == ledgers
-        for r in ledgers:
-            assert r["puts"] == r["takes"] + r["drops"] + r["queued"], r
+        assert [r["event"] for r in records[-6:]] \
+            == ["evaluator"] * 2 + ["mailbox"] * 4
+        assert not run_faults(report, records)
 
 
 SOLVERS = st.lists(st.tuples(st.sampled_from(sorted(SOLVER_KINDS)),
@@ -295,9 +293,10 @@ def small_configs(draw):
                     for i, (kind, size, priority, weight)
                     in enumerate(draw(SOLVERS)))
     return RunConfig(
-        problem=draw(st.sampled_from(["sphere-3", "constrained-sphere-3",
-                                      "mixed-int-quadratic-4",
-                                      "biobj-quadratic-2"])),
+        problem=draw(st.sampled_from([
+            "sphere-3", "constrained-sphere-3", "mixed-int-quadratic-4",
+            "biobj-quadratic-2", "false-readings-analogue",
+            "mixed-int-quadratic-1", "rosenbrock-2", "biobj-quadratic-1"])),
         budget=Budget(draw(st.sampled_from(["messages", "evaluations"])),
                       draw(st.integers(0, 2000))),
         solvers=solvers, population_size=draw(st.integers(1, 4)),
@@ -316,11 +315,8 @@ def written(report, run_dir: Path) -> list[bytes]:
 def test_every_small_config_ends_and_replays(cfg, rep_index):
     """Valid at its exact budget, or flagged as stalled; never a hang.
 
-    Either way every mailbox ledger balances, the counters, trace and
-    evaluator records agree with the event log, the share rings took only
-    broadcasts, and a second run of the same config and repetition writes
-    the same bytes.  A valid run's trace holds every member of its final
-    archive.
+    Either way the run keeps ``run_faults``'s invariants, and a second
+    run of the same config and repetition writes the same bytes.
     """
     report = bounded(lambda: run_once(cfg, rep_index), "fuzzed run")
     limit = cfg.budget.limit
@@ -333,30 +329,8 @@ def test_every_small_config_ends_and_replays(cfg, rep_index):
     else:
         assert counters["messages"] >= limit
 
-    def events(kind):
-        return [e for e in report.events if e["event"] == kind]
-
-    assert counters["improvements"] == len(events("improvement")) \
-        == len(report.trace)
-    assert counters["dispatches"] == len(events("dispatch")) \
-        == sum(report.per_solver_evaluations.values()) \
-        == sum(e["evaluations"] for e in events("evaluator"))
-    assert counters["refusals"] == len(events("refusal"))
-    assert counters["broadcasts"] == sum(e["delivered"]
-                                         for e in events("broadcast"))
-    if report.valid:
-        terminated, = events("terminated")
-        assert terminated == {"event": "terminated", **counters}
-        traced = {row["seq"] for row in report.trace}
-        assert all(m.seq in traced for m in report.archive.members())
-    ledgers = events("mailbox")
-    assert len(ledgers) == 2 + len(cfg.solvers)
-    for r in ledgers:
-        assert r["puts"] == r["takes"] + r["drops"] + r["queued"], r
-    # Only broadcasts put on a share ring, so the solvers read every ring
-    # message as a shared solution.
-    assert sum(r["puts"] for r in ledgers
-               if r["mailbox"].startswith("share:")) == counters["broadcasts"]
+    assert report.events.count("mailbox") == 2 + len(cfg.solvers)
+    assert not run_faults(report_summary(report), report.events)
     with tempfile.TemporaryDirectory() as tmp:
         again = bounded(lambda: run_once(cfg, rep_index), "replayed run")
         assert written(again, Path(tmp, "again")) \

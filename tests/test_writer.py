@@ -12,6 +12,7 @@ without the C JSON encoder must write the same bytes.
 import json
 import math
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -92,7 +93,8 @@ def reports(draw):
         problem=draw(LABELS), mode=draw(LABELS),
         rep_index=draw(st.integers(0, 99)), sharing=draw(st.booleans()),
         archive=archive, solver_classes=classes,
-        per_solver_evaluations=dict(record.solver_dispatches),
+        per_solver_evaluations=dict(Counter(
+            solver for solver, in record.events.rows("dispatch", "solver"))),
         counters=record.counters(),
         metrics_row=draw(st.none() | st.dictionaries(LABELS, FLOATS,
                                                      max_size=3)),
@@ -178,9 +180,9 @@ def test_the_pure_python_encoder_writes_the_same_log(tmp_path, monkeypatch):
         ("append", ({"event": "run-start", "problem": "é☃",
                      "initial_population": [values]},)),
         ("dispatch", ("évaluateur", "\U0001f600", 2**63 - 1)),
-        ("improvement", (1, "é☃", 2, 1, math.nan, values)),
+        ("improvement", (1, "é☃", values, math.nan, 2, 1)),
         ("broadcast", (1, -2**63)),
-        ("solver_improvement", (2, "\U0001f600", "MH", [-0.0, math.inf])),
+        ("solver_improvement", ("\U0001f600", "MH", 2, [-0.0, math.inf])),
         ("append", ({"event": "mailbox", "mailbox": "\x00\n",
                      "x": -math.inf},)),
     ])
