@@ -152,8 +152,7 @@ def full_run():
           dict(Counter(e["event"] for e in events)))
 
     print("\nthe record's counters:", record.counters())
-    print("dispatches per solver:", dict(Counter(
-        solver for solver, in events.rows("dispatch", "solver"))))
+    print("dispatches per solver:", record.per_solver_evaluations())
     for counts in record.evaluators.values():
         print(f"  {counts['evaluator']}: {counts['evaluations']} evaluations,"
               f" {counts['replies_delivered']} replies delivered")

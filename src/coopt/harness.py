@@ -40,7 +40,6 @@ import itertools
 import json
 import re
 import time
-from collections import Counter
 from dataclasses import dataclass, replace
 from functools import partial
 from json.encoder import encode_basestring_ascii
@@ -501,8 +500,7 @@ def run_once(cfg: RunConfig, rep_index: int) -> RunReport:
         problem=cfg.problem, mode=mode, rep_index=rep_index,
         sharing=cfg.sharing, archive=archive,
         solver_classes=classes,
-        per_solver_evaluations=dict(Counter(itertools.chain.from_iterable(
-            record.events.rows("dispatch", "solver")))),
+        per_solver_evaluations=record.per_solver_evaluations(),
         counters=record.counters(), metrics_row=metrics_row,
         wall_time=wall_time, valid=not errors,
         error="; ".join(f"{type(e).__name__}: {e}" for e in errors),

@@ -13,7 +13,7 @@ import asyncio
 import json
 import keyword
 from array import array
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import chain, pairwise
 from json.encoder import encode_basestring_ascii
@@ -344,7 +344,7 @@ class RunRecord:
     the scheduler counts its messages into ``messages`` and its
     dispatches into ``dispatches`` (both budgets), and each evaluator
     counts into the record ``evaluator`` made for it.  Every other total
-    (``counters``, the per-solver dispatches) is read from the rows.
+    (``counters``, ``per_solver_evaluations``) is read from the rows.
     ``close`` ends the log with the evaluator records, then one ledger
     record per mailbox.
     """
@@ -405,6 +405,11 @@ class RunRecord:
             "refusals": self.events.count("refusal"),
             "improvements": self.events.count("improvement"),
         }
+
+    def per_solver_evaluations(self) -> dict:
+        """Dispatches by solver label, in first-dispatch order."""
+        return dict(Counter(chain.from_iterable(
+            self.events.rows("dispatch", "solver"))))
 
     def terminated(self) -> None:
         self.events.append({"event": "terminated", **self.counters()})

@@ -349,8 +349,8 @@ def run_faults(summary, events):
     them all), given its report.json (or ``report_summary``) and events.
 
     Every mailbox ledger balances; each evaluator evaluated, replied and
-    notified the analysis agent alike, and the evaluations sum to the
-    dispatches; the share rings took just the broadcasts; and a valid
+    notified the analysis agent alike, and the evaluations and the
+    per-solver dispatches each sum to the dispatches; the share rings took just the broadcasts; and a valid
     run's trace holds every member of its archive, and its ``terminated``
     event gives its counters.
     """
@@ -363,12 +363,15 @@ def run_faults(summary, events):
     faults += [f"evaluator counts disagree {r}" for r in evaluators
                if not r["evaluations"] == r["replies_delivered"]
                == r["analysis_sent"]]
-    evaluations = sum(r["evaluations"] for r in evaluators)
     shared = sum(r["puts"] for r in ledgers
                  if r["mailbox"].startswith("share:"))
-    if evaluations != counters["dispatches"]:
-        faults.append(f"{evaluations} evaluations, {counters['dispatches']}"
-                      " dispatches")
+    for name, total in [
+            ("evaluations", sum(r["evaluations"] for r in evaluators)),
+            ("per-solver dispatches",
+             sum(summary["per_solver_evaluations"].values()))]:
+        if total != counters["dispatches"]:
+            faults.append(f"{total} {name}, {counters['dispatches']}"
+                          " dispatches")
     if shared != counters["broadcasts"]:
         faults.append(f"{shared} share-ring puts, {counters['broadcasts']}"
                       " broadcasts")

@@ -12,7 +12,6 @@ without the C JSON encoder must write the same bytes.
 import json
 import math
 import tempfile
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -93,8 +92,7 @@ def reports(draw):
         problem=draw(LABELS), mode=draw(LABELS),
         rep_index=draw(st.integers(0, 99)), sharing=draw(st.booleans()),
         archive=archive, solver_classes=classes,
-        per_solver_evaluations=dict(Counter(
-            solver for solver, in record.events.rows("dispatch", "solver"))),
+        per_solver_evaluations=record.per_solver_evaluations(),
         counters=record.counters(),
         metrics_row=draw(st.none() | st.dictionaries(LABELS, FLOATS,
                                                      max_size=3)),
